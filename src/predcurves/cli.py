@@ -56,6 +56,7 @@ _CONFIG_KEYS = {
     "grid-points": int,
     "n": int,
     "theta": float,
+    "cov-shift-scale": float,
 }
 
 _X_NEW_MODES = ("sample-mean", "iid-draw", "non-iid-draw")
@@ -87,6 +88,7 @@ class RunConfig:
     grid_points: int = 400
     n: int = 5
     theta: float = 1.35
+    cov_shift_scale: float = 0.5
 
 
 def _build_parser() -> _Parser:
@@ -104,6 +106,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--reps", type=int, default=None)
         p.add_argument("--depth", type=int, default=None)
         p.add_argument("--restarts", type=int, default=None)
+        if name == "table1":
+            p.add_argument("--cov-shift-scale", type=float, default=None)
         if name == "curves":
             p.add_argument("--scenario", choices=("linear", "nn"), default=None)
             p.add_argument("--x-new", type=str, default=None)
@@ -168,6 +172,7 @@ def parse_config(argv: list[str]) -> RunConfig:
     cfg.grid_points = pick("grid_points", "grid-points", 400)
     cfg.n = pick("n", "n", 5)
     cfg.theta = pick("theta", "theta", 1.35)
+    cfg.cov_shift_scale = pick("cov_shift_scale", "cov-shift-scale", 0.5)
 
     if cfg.command in TABLE_COMMANDS + CURVE_COMMANDS and cfg.seed is None:
         raise UsageError(f"{cfg.command} requires --seed")
@@ -175,6 +180,8 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError("--seed must be an unsigned 64-bit integer")
     if not 0.0 < cfg.alpha < 1.0:
         raise UsageError(f"--alpha must be in (0, 1), got {cfg.alpha}")
+    if not cfg.cov_shift_scale > 0.0:
+        raise UsageError(f"--cov-shift-scale must be positive, got {cfg.cov_shift_scale}")
     for field_name in ("n_train", "reps", "depth", "restarts", "grid_points", "n"):
         value = getattr(cfg, field_name)
         if value is not None and value < 1:
@@ -200,7 +207,8 @@ def _opt_config(restarts: int | None) -> TrainerConfig:
 def _run_table1(cfg: RunConfig) -> str:
     n_train = cfg.n_train or (300 if cfg.scale == "paper" else 100)
     reps = cfg.reps or (200 if cfg.scale == "paper" else 50)
-    rows = run_table_linear(cfg.seed, alpha=cfg.alpha, n_train=n_train, reps=reps)
+    scenario = LinearScenario(cov_shift_scale=cfg.cov_shift_scale)
+    rows = run_table_linear(cfg.seed, alpha=cfg.alpha, n_train=n_train, reps=reps, scenario=scenario)
     return emit_results(rows, cfg.format, cfg.out)
 
 

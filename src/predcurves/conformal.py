@@ -123,6 +123,12 @@ class PredictiveInterval:
         return self.lower <= y <= self.upper
 
 
+def require_loo_rows(dataset: Dataset) -> None:
+    """Jackknife-plus needs at least 3 training rows, on every scoring path."""
+    if dataset.n < 3:
+        raise ValueError("conformal prediction needs at least 3 training rows")
+
+
 def build_loo_ensemble(dataset: Dataset, learner, rng: RngStream | np.random.Generator) -> LooEnsemble:
     """Fit the n leave-one-out models and collect leave-one-out residuals.
 
@@ -131,8 +137,7 @@ def build_loo_ensemble(dataset: Dataset, learner, rng: RngStream | np.random.Gen
     directly. Randomized learners receive one independent substream per
     fold, so fold order and parallel schedules cannot change results.
     """
-    if dataset.n < 3:
-        raise ValueError("conformal prediction needs at least 3 training rows")
+    require_loo_rows(dataset)
     gen = as_generator(rng)
     if hasattr(learner, "fit_loo"):
         models = list(learner.fit_loo(dataset, gen))

@@ -122,10 +122,7 @@ def _gradients(
     grads: list = [None] * len(params)
     for layer in range(len(params) - 1, -1, -1):
         a_prev = X if layer == 0 else np.maximum(preacts[layer - 1], 0.0)
-        if a_prev.ndim == 2:
-            grads[layer] = np.einsum("bno,ni->boi", delta, a_prev)
-        else:
-            grads[layer] = np.einsum("bno,bni->boi", delta, a_prev)
+        grads[layer] = np.swapaxes(delta, -1, -2) @ a_prev
         if layer > 0:
             delta = (delta @ params[layer]) * (preacts[layer - 1] > 0)
     return grads
@@ -153,6 +150,11 @@ def train_batched(
     Networks stop early when the gradient infinity-norm drops below the
     tolerance or the step size underflows; converged networks are retired
     from the working batch so long runs do not pay for finished restarts.
+
+    Each iteration runs one forward pass, on the candidate step: its
+    preactivations, outputs and loss become the next iteration's for the
+    networks that accept the step, while rejected networks get their
+    current rows copied back, along with their parameters.
     """
     gen = as_generator(rng)
     X = np.asarray(X, dtype=float)
@@ -171,9 +173,11 @@ def train_batched(
     alive = np.arange(batch)
     velocity = [np.zeros_like(W) for W in params]
     step = np.full(batch, config.initial_step)
+    preacts, out = _forward(params, X)
+    loss = _sse(out, y, mask)
 
-    def retire(done: np.ndarray, loss: np.ndarray) -> np.ndarray:
-        nonlocal alive, params, velocity, step, mask
+    def retire(done: np.ndarray) -> None:
+        nonlocal alive, params, velocity, step, mask, preacts, out, loss
         ids = alive[done]
         for layer in range(len(params)):
             final_params[layer][ids] = params[layer][done]
@@ -182,42 +186,47 @@ def train_batched(
         alive = alive[keep]
         params = [W[keep] for W in params]
         velocity = [V[keep] for V in velocity]
+        preacts = [Z[keep] for Z in preacts]
+        out = out[keep]
+        loss = loss[keep]
         step = step[keep]
         if mask is not None:
             mask = mask[keep]
-        return loss[keep]
 
     for _ in range(config.max_iterations):
-        if alive.size == 0:
-            break
-        preacts, out = _forward(params, X)
-        loss = _sse(out, y, mask)
         grads = _gradients(params, X, y, preacts, out, mask)
         gmax = np.zeros(alive.size)
         for g in grads:
             gmax = np.maximum(gmax, np.abs(g).reshape(alive.size, -1).max(axis=1))
         done = (gmax < config.gradient_tolerance) | (step < _MIN_STEP)
         if done.any():
-            loss = retire(done, loss)
+            retire(done)
             if alive.size == 0:
                 break
             keep = ~done
             grads = [g[keep] for g in grads]
 
         scale = step[:, None, None]
-        v_new = [config.momentum * V - scale * g for V, g in zip(velocity, grads)]
-        cand = [W + V for W, V in zip(params, v_new)]
-        _, cand_out = _forward(cand, X)
+        for V, g in zip(velocity, grads):
+            V *= config.momentum
+            V -= scale * g
+        cand = [W + V for W, V in zip(params, velocity)]
+        cand_preacts, cand_out = _forward(cand, X)
         cand_loss = _sse(cand_out, y, mask)
-        accept = cand_loss <= loss
-        acc3 = accept[:, None, None]
-        params = [np.where(acc3, c, W) for c, W in zip(cand, params)]
-        velocity = [np.where(acc3, V, 0.0) for V in v_new]
-        step = np.where(accept, step, 0.5 * step)
+        reject = ~(cand_loss <= loss)
+        if reject.any():
+            for W, C, V in zip(params, cand, velocity):
+                C[reject] = W[reject]
+                V[reject] = 0.0
+            for Z, C in zip(preacts, cand_preacts):
+                C[reject] = Z[reject]
+            cand_out[reject] = out[reject]
+            cand_loss[reject] = loss[reject]
+            step[reject] *= 0.5
+        params, preacts, out, loss = cand, cand_preacts, cand_out, cand_loss
 
     if alive.size:
-        _, out = _forward(params, X)
-        retire(np.ones(alive.size, dtype=bool), _sse(out, y, mask))
+        retire(np.ones(alive.size, dtype=bool))
 
     restart_losses = final_loss.reshape(n_folds, n_restarts)
     best = restart_losses.argmin(axis=1)

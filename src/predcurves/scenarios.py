@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import Dataset
-from .mlp import MlpArchitecture, mlp_forward
+from .mlp import MlpArchitecture, _forward
 from .rng import RngStream, as_generator
 from .sampling import sample_mvn, sample_noncentral_t
 
@@ -128,8 +128,8 @@ class NnScenario:
 
     def mean_response(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        params = self.true_params()
-        return np.array([mlp_forward(params, x) for x in X])
+        _, out = _forward([W[None] for W in self.true_params()], X)
+        return out[0]
 
 
 def gen_linear(

@@ -5,7 +5,10 @@ so repetitions are independent, reproducible, and schedule independent.
 Within a repetition the draw order is fixed (training data, test data,
 then any fitting randomness), which means every learner evaluated at the
 same ``(seed, rep)`` sees the identical dataset: coverage and width
-comparisons across learners are paired.
+comparisons across learners are paired. The training rows come first in
+every scenario's draw order, so the iid and shifted test laws of one
+repetition share them too, and the coverage tables fit each learner
+once per repetition for both laws.
 
 Least-squares learners take the closed-form scoring path; all other
 learners go through the generic leave-one-out engine.
@@ -19,7 +22,13 @@ import numpy as np
 from scipy.special import ndtr
 
 from .closed_form import interval_from_scores
-from .conformal import Dataset, PredictiveResult, build_loo_ensemble, curve_grid
+from .conformal import (
+    Dataset,
+    PredictiveResult,
+    build_loo_ensemble,
+    curve_grid,
+    require_loo_rows,
+)
 from .learners import FeatureMap, OlsLearner
 from .linalg import least_squares
 from .mlp import (
@@ -128,6 +137,7 @@ def score_matrix(dataset: Dataset, learner, X_test: np.ndarray, gen) -> np.ndarr
     design; everything else builds the leave-one-out ensemble once and
     reuses it across test points.
     """
+    require_loo_rows(dataset)
     if isinstance(learner, OlsLearner):
         design = learner.feature_map.expand_matrix(dataset.X)
         fit = least_squares(design, dataset.y)
@@ -141,6 +151,61 @@ def score_matrix(dataset: Dataset, learner, X_test: np.ndarray, gen) -> np.ndarr
     return ensemble.prediction_matrix(X_test) + ensemble.loo_residuals[:, None]
 
 
+def _run_studies(
+    scenario,
+    specs: list[LearnerSpec],
+    alpha: float,
+    reps: int,
+    test_points_per_rep: int,
+    seed: int,
+    laws: tuple[bool, ...],
+    n_train: int | None,
+) -> list[MonteCarloReport]:
+    """Coverage and width of every learner under every test law (``iid`` flags).
+
+    Neither the training rows nor the fitting stream depends on the law,
+    so each learner is fitted once per repetition and scored on the test
+    rows of all laws together. Rows are ordered by law, then by learner.
+    """
+    n_train = scenario.n_train if n_train is None else n_train
+    m = test_points_per_rep
+    hits = [[0] * len(specs) for _ in laws]
+    width_total = [[0.0] * len(specs) for _ in laws]
+    for rep in range(reps):
+        draws = [
+            _generate(scenario, iid, RngStream(seed, rep).generator(), n_train, m) for iid in laws
+        ]
+        dataset = draws[0][0]
+        X_test = np.vstack([X for _, (X, _) in draws])
+        for s, spec in enumerate(specs):
+            # data draws share the rep stream across learners (paired comparisons);
+            # fitting randomness is keyed by the learner label so learners stay independent
+            fit_gen = labeled_generator(seed, rep, spec.label)
+            scores = score_matrix(dataset, spec.learner, X_test, fit_gen)
+            for k, (_, (_, y_test)) in enumerate(draws):
+                for j in range(m):
+                    lower, upper, _ = interval_from_scores(scores[:, k * m + j], alpha)
+                    hits[k][s] += int(lower <= y_test[j] <= upper)
+                    width_total[k][s] += upper - lower
+    evaluations = reps * m
+    return [
+        MonteCarloReport(
+            scenario=_scenario_id(scenario, iid),
+            learner=spec.learner_id,
+            estimator=spec.estimator_id,
+            alpha=alpha,
+            n_train=n_train,
+            reps=reps,
+            test_points=m,
+            coverage=hits[k][s] / evaluations,
+            avg_width=width_total[k][s] / evaluations,
+            seed=seed,
+        )
+        for k, iid in enumerate(laws)
+        for s, spec in enumerate(specs)
+    ]
+
+
 def run_coverage_study(
     scenario,
     spec: LearnerSpec,
@@ -152,33 +217,10 @@ def run_coverage_study(
     n_train: int | None = None,
 ) -> MonteCarloReport:
     """Empirical coverage and average width over seeded repetitions."""
-    n_train = scenario.n_train if n_train is None else n_train
-    hits = 0
-    width_total = 0.0
-    for rep in range(reps):
-        gen = RngStream(seed, rep).generator()
-        dataset, (X_test, y_test) = _generate(scenario, iid, gen, n_train, test_points_per_rep)
-        # data draws share the rep stream across learners (paired comparisons);
-        # fitting randomness is keyed by the learner label so learners stay independent
-        fit_gen = labeled_generator(seed, rep, spec.label)
-        scores = score_matrix(dataset, spec.learner, X_test, fit_gen)
-        for j in range(test_points_per_rep):
-            lower, upper, _ = interval_from_scores(scores[:, j], alpha)
-            hits += int(lower <= y_test[j] <= upper)
-            width_total += upper - lower
-    evaluations = reps * test_points_per_rep
-    return MonteCarloReport(
-        scenario=_scenario_id(scenario, iid),
-        learner=spec.learner_id,
-        estimator=spec.estimator_id,
-        alpha=alpha,
-        n_train=n_train,
-        reps=reps,
-        test_points=test_points_per_rep,
-        coverage=hits / evaluations,
-        avg_width=width_total / evaluations,
-        seed=seed,
+    (report,) = _run_studies(
+        scenario, [spec], alpha, reps, test_points_per_rep, seed, (iid,), n_train
     )
+    return report
 
 
 def run_table_linear(
@@ -195,13 +237,9 @@ def run_table_linear(
     ignored in favour of the argument.
     """
     scenario = scenario or LinearScenario()
-    rows = []
-    for iid in (True, False):
-        for spec in linear_learner_specs():
-            rows.append(
-                run_coverage_study(scenario, spec, alpha, reps, test_points, seed, iid, n_train)
-            )
-    return rows
+    return _run_studies(
+        scenario, linear_learner_specs(), alpha, reps, test_points, seed, (True, False), n_train
+    )
 
 
 def run_table_nn(
@@ -215,15 +253,10 @@ def run_table_nn(
     single_config: TrainerConfig = SINGLE_RESTART,
 ) -> list[MonteCarloReport]:
     """Neural-network study: five learners (two fits of the true shape)."""
-    scenario = NnScenario(n_train=n_train)
     specs = nn_learner_specs(deep_depths, opt_config, single_config)
-    rows = []
-    for iid in (True, False):
-        for spec in specs:
-            rows.append(
-                run_coverage_study(scenario, spec, alpha, reps, test_points, seed, iid, n_train)
-            )
-    return rows
+    return _run_studies(
+        NnScenario(n_train=n_train), specs, alpha, reps, test_points, seed, (True, False), n_train
+    )
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from predcurves.emit import (
     format_results_csv,
     parse_results_json,
 )
-from predcurves.studies import MonteCarloReport
+from predcurves.scenarios import LinearScenario
+from predcurves.studies import MonteCarloReport, run_table_linear
 
 
 def _row(**overrides):
@@ -106,6 +107,14 @@ class TestParseConfig:
         assert cfg.alpha == 0.1  # flag wins
         assert cfg.reps == 7
 
+    def test_cov_shift_scale_flag_and_key(self, tmp_path):
+        assert parse_config(["table1", "--seed", "1"]).cov_shift_scale == 0.5
+        path = tmp_path / "run.cfg"
+        path.write_text("cov-shift-scale=1.0\n")
+        assert parse_config(["table1", "--seed", "1", "--config", str(path)]).cov_shift_scale == 1.0
+        with pytest.raises(UsageError, match="cov-shift-scale"):
+            parse_config(["table1", "--seed", "1", "--cov-shift-scale", "0"])
+
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("wibble=3\n")
@@ -182,6 +191,15 @@ class TestSmallTableRuns:
         lines = out.read_text().splitlines()
         assert len(lines) == 9  # header + 2 scenarios x 4 learners
         assert lines[0].startswith("scenario,")
+
+    def test_table1_cov_shift_scale(self, tmp_path, capsys):
+        args = ["table1", "--seed", "3", "--n-train", "50", "--reps", "5"]
+        assert main(args + ["--cov-shift-scale", "1.0"]) == 0
+        unit = capsys.readouterr().out
+        rows = run_table_linear(3, n_train=50, reps=5, scenario=LinearScenario(cov_shift_scale=1.0))
+        assert unit == emit_results(rows, "csv", None)
+        assert main(args) == 0
+        assert capsys.readouterr().out != unit
 
     def test_table1_json(self, tmp_path):
         out = tmp_path / "t1.json"

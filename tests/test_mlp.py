@@ -10,7 +10,10 @@ from predcurves.mlp import (
     MlpLearner,
     MlpModel,
     TrainerConfig,
+    _forward,
+    _gradients,
     _init_params,
+    _sse,
     canonicalize_mlp,
     mlp_forward,
     mlp_gradient,
@@ -90,6 +93,39 @@ class TestGradient:
         grads = mlp_gradient([w], X, y)
         oracle = 2.0 * (X.T @ (X @ w[0] - y))
         np.testing.assert_allclose(grads[0][0], oracle, atol=1e-10)
+
+
+    def test_batched_masked_deep_stack_matches_finite_differences(self):
+        # three differently masked networks of depth 4, each checked against
+        # central differences of its own masked loss
+        arch = MlpArchitecture((3, 4, 3, 2, 1))
+        masks = np.array([[1.0, 1, 0, 1, 1, 1], [0, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0]])
+        gen = RngStream(4, 0).generator()
+        step = 1e-6
+        checked = 0
+        while checked < 3:
+            params = _init_params(arch, gen, 3)
+            X = gen.standard_normal((6, 3))
+            y = gen.standard_normal(6)
+            preacts, out = _forward(params, X)
+            # away from ReLU kinks, and every network live on some kept row
+            if min(np.min(np.abs(z)) for z in preacts) < 1e-3 or np.any((out * masks).max(axis=1) == 0):
+                continue
+            checked += 1
+            grads = _gradients(params, X, y, preacts, out, masks)
+            for layer, grad in enumerate(grads):
+                for idx in np.ndindex(grad.shape):
+                    plus = [W.copy() for W in params]
+                    minus = [W.copy() for W in params]
+                    plus[layer][idx] += step
+                    minus[layer][idx] -= step
+                    b = idx[0]
+                    fd = (
+                        _sse(_forward(plus, X)[1], y, masks)[b]
+                        - _sse(_forward(minus, X)[1], y, masks)[b]
+                    ) / (2 * step)
+                    denom = max(abs(fd), abs(grad[idx]), 1e-8)
+                    assert abs(fd - grad[idx]) / denom < 1e-5
 
 
 class TestCanonicalize:
@@ -207,6 +243,53 @@ class TestTrainer:
                 MlpModel([W[fold] for W in best]).predict(X_probe),
                 atol=1e-12,
             )
+
+    @pytest.mark.parametrize("arch", [(3, 2, 1), (3, 6, 6, 1)], ids=["shallow", "depth-3"])
+    def test_returned_losses_match_a_fresh_forward(self, arch):
+        # losses are carried from the candidate step's forward pass and merged
+        # back on rejection; whatever the budget a run stops at, they must
+        # equal the loss of the params actually returned (one restart per fold,
+        # so every network trained is returned)
+        ds, _ = gen_nn(NnScenario(), True, RngStream(14, 0).generator(), n_train=12, n_test=0)
+        masks = 1.0 - np.eye(12)
+        for iterations in range(1, 21):
+            config = TrainerConfig(restarts=1, max_iterations=iterations, initial_step=0.3)
+            best, losses, _ = train_batched(
+                MlpArchitecture(arch), config, ds.X, ds.y, RngStream(14, 1), fold_masks=masks
+            )
+            _, out = _forward(best, ds.X)
+            np.testing.assert_array_equal(losses, _sse(out, ds.y, masks))
+
+    def test_matches_two_forward_reference_loop(self):
+        # the trainer reuses the candidate's forward pass and updates in place;
+        # a plain loop that recomputes the forward pass every iteration and
+        # keeps finished networks frozen in the batch must give the same bits
+        arch = MlpArchitecture((3, 6, 6, 1))
+        config = TrainerConfig(restarts=2, max_iterations=60, initial_step=0.1)
+        ds, _ = gen_nn(NnScenario(), True, RngStream(15, 0).generator(), n_train=10, n_test=0)
+        masks = np.repeat(1.0 - np.eye(10), 2, axis=0)
+        params = _init_params(arch, RngStream(15, 1).generator(), 20)
+        velocity = [np.zeros_like(W) for W in params]
+        step = np.full(20, config.initial_step)
+        live = np.ones(20, dtype=bool)
+        for _ in range(config.max_iterations):
+            preacts, out = _forward(params, ds.X)
+            loss = _sse(out, ds.y, masks)
+            grads = _gradients(params, ds.X, ds.y, preacts, out, masks)
+            gmax = np.max([np.abs(g).reshape(20, -1).max(axis=1) for g in grads], axis=0)
+            live &= ~((gmax < config.gradient_tolerance) | (step < 1e-15))
+            velocity = [config.momentum * V - step[:, None, None] * g for V, g in zip(velocity, grads)]
+            cand = [W + V for W, V in zip(params, velocity)]
+            accept = _sse(_forward(cand, ds.X)[1], ds.y, masks) <= loss
+            move = (accept & live)[:, None, None]
+            params = [np.where(move, C, W) for C, W in zip(cand, params)]
+            velocity = [np.where(move, V, 0.0) for V in velocity]
+            step = np.where(live & ~accept, 0.5 * step, step)
+        final_loss = _sse(_forward(params, ds.X)[1], ds.y, masks)
+        _, losses, restart_losses = train_batched(
+            arch, config, ds.X, ds.y, RngStream(15, 1), fold_masks=1.0 - np.eye(10)
+        )
+        np.testing.assert_array_equal(restart_losses.ravel(), final_loss)
 
     def test_input_indices_subset(self):
         ds = Dataset(np.arange(30.0).reshape(10, 3), np.arange(10.0))

@@ -64,9 +64,11 @@ class TestNnScenario:
             return max(0.0, max(0.0, x[0] + x[1]) - max(0.0, x[2]))
 
         gen = RngStream(301, 0).generator()
-        for _ in range(200):
-            x = 3.0 * gen.standard_normal(3)
+        X = 3.0 * gen.standard_normal((200, 3))
+        for x in X:
             assert mlp_forward(params, x) == pytest.approx(reference(x), abs=1e-12)
+        # the batched mean response gives the per-row network values bit for bit
+        np.testing.assert_array_equal(sc.mean_response(X), [mlp_forward(params, x) for x in X])
 
     def test_equivalent_params_same_function(self):
         sc = NnScenario()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from predcurves.conformal import Dataset
 from predcurves.learners import FeatureMap, OlsLearner, zero_learner
 from predcurves.mlp import TrainerConfig
 from predcurves.rng import RngStream
@@ -14,6 +15,7 @@ from predcurves.studies import (
     run_coverage_study,
     run_param_mse_study,
     run_table_linear,
+    run_table_nn,
     score_matrix,
 )
 
@@ -52,6 +54,17 @@ class TestScoreMatrix:
         for j in range(4):
             engine = conformal_scores(ensemble, X_test[j]).scores
             np.testing.assert_allclose(np.sort(fast[:, j]), np.sort(engine), atol=1e-8)
+
+
+    @pytest.mark.parametrize(
+        "learner",
+        [OlsLearner(FeatureMap("intercept", input_dim=2)), zero_learner()],
+        ids=["closed-form", "refit"],
+    )
+    def test_every_path_needs_three_rows(self, learner):
+        dataset = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="at least 3 training rows"):
+            score_matrix(dataset, learner, np.zeros((1, 2)), np.random.default_rng(0))
 
 
 class TestCoverageStudy:
@@ -126,6 +139,35 @@ class TestTableLinear:
         # covariate shift destroys coverage for the badly misspecified models
         assert noniid["mu2"].coverage <= 0.6
         assert noniid["mu3"].coverage <= 0.6
+
+
+class TestTablesShareFitsAcrossLaws:
+    """The tables fit each learner once per rep for both laws; per-law studies fit per law."""
+
+    @staticmethod
+    def _per_law_rows(scenario, specs, alpha, reps, test_points, seed, n_train):
+        return [
+            run_coverage_study(scenario, spec, alpha, reps, test_points, seed, iid, n_train)
+            for iid in (True, False)
+            for spec in specs
+        ]
+
+    def test_linear_table_equals_per_law_studies(self):
+        scenario = LinearScenario(cov_shift_scale=1.0)
+        rows = run_table_linear(seed=5, alpha=0.1, n_train=25, reps=6, test_points=3, scenario=scenario)
+        expected = self._per_law_rows(scenario, linear_learner_specs(), 0.1, 6, 3, 5, 25)
+        assert rows == expected
+
+    def test_nn_table_equals_per_law_studies(self):
+        opt = TrainerConfig(restarts=2, max_iterations=15)
+        single = TrainerConfig(restarts=1, max_iterations=15)
+        rows = run_table_nn(
+            seed=4, alpha=0.2, n_train=10, reps=2, test_points=3,
+            deep_depths=(3, 4), opt_config=opt, single_config=single,
+        )
+        specs = nn_learner_specs((3, 4), opt, single)
+        expected = self._per_law_rows(NnScenario(n_train=10), specs, 0.2, 2, 3, 4, 10)
+        assert rows == expected
 
 
 class TestParamMseStudy:
