@@ -48,8 +48,17 @@ class LeastSquaresFit:
         return self.q @ t
 
     def hat_cross_many(self, X_s: np.ndarray) -> np.ndarray:
-        """Cross leverages for several query points; shape (n, m)."""
-        T = solve_triangular(self.r, np.asarray(X_s, dtype=float).T, trans="T")
+        """Cross leverages for several query points; shape (n, m).
+
+        One triangular solve per point: OpenBLAS runs a solve with several
+        right-hand sides on its thread pool, which for these p x p systems
+        costs about ten times as much as single-column solves and keeps a
+        second core busy while a study runs.
+        """
+        X_s = np.asarray(X_s, dtype=float)
+        T = np.empty((self.r.shape[0], X_s.shape[0]))
+        for j, x_s in enumerate(X_s):
+            T[:, j] = solve_triangular(self.r, x_s, trans="T")
         return self.q @ T
 
 

@@ -154,7 +154,10 @@ def train_batched(
     Each iteration runs one forward pass, on the candidate step: its
     preactivations, outputs and loss become the next iteration's for the
     networks that accept the step, while rejected networks get their
-    current rows copied back, along with their parameters.
+    current rows copied back, along with their parameters. Retiring
+    networks does not compact the carried preactivations; ``rows`` maps
+    each working network to its row there, so only the rows of rejected
+    networks are ever copied.
     """
     gen = as_generator(rng)
     X = np.asarray(X, dtype=float)
@@ -175,9 +178,10 @@ def train_batched(
     step = np.full(batch, config.initial_step)
     preacts, out = _forward(params, X)
     loss = _sse(out, y, mask)
+    rows = np.arange(batch)
 
     def retire(done: np.ndarray) -> None:
-        nonlocal alive, params, velocity, step, mask, preacts, out, loss
+        nonlocal alive, params, velocity, step, mask, rows, out, loss
         ids = alive[done]
         for layer in range(len(params)):
             final_params[layer][ids] = params[layer][done]
@@ -186,7 +190,7 @@ def train_batched(
         alive = alive[keep]
         params = [W[keep] for W in params]
         velocity = [V[keep] for V in velocity]
-        preacts = [Z[keep] for Z in preacts]
+        rows = rows[keep]
         out = out[keep]
         loss = loss[keep]
         step = step[keep]
@@ -219,11 +223,12 @@ def train_batched(
                 C[reject] = W[reject]
                 V[reject] = 0.0
             for Z, C in zip(preacts, cand_preacts):
-                C[reject] = Z[reject]
+                C[reject] = Z[rows[reject]]
             cand_out[reject] = out[reject]
             cand_loss[reject] = loss[reject]
             step[reject] *= 0.5
         params, preacts, out, loss = cand, cand_preacts, cand_out, cand_loss
+        rows = np.arange(alive.size)
 
     if alive.size:
         retire(np.ones(alive.size, dtype=bool))

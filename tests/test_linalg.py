@@ -104,3 +104,4 @@ def test_hat_cross_many_matches_single():
     many = fit.hat_cross_many(points)
     for j in range(4):
         np.testing.assert_allclose(many[:, j], fit.hat_cross(points[j]), atol=1e-12)
+    assert fit.hat_cross_many(points[:0]).shape == (18, 0)
