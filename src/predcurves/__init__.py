@@ -14,24 +14,21 @@ from .closed_form import (
     ClosedFormScores,
     HomeostasisReport,
     closed_form_scores,
-    closed_form_scores_submodel,
     homeostasis_report,
-    interval_from_scores,
     interval_width,
     width_ordering_trial,
 )
 from .conformal import (
     Dataset,
     LooEnsemble,
-    PredictiveInterval,
     PredictiveResult,
     build_loo_ensemble,
     conformal_scores,
     curve_grid,
+    interval_from_scores,
     median_point_prediction,
     predictive_cdf,
     predictive_curve,
-    predictive_interval,
 )
 from .gaussian_toy import (
     GaussianToySample,
@@ -45,10 +42,9 @@ from .learners import (
     FixedRuleLearner,
     OlsLearner,
     adversarial_learner,
-    feature_expand,
     zero_learner,
 )
-from .linalg import hat_values, least_squares, ols_fit
+from .linalg import least_squares
 from .mlp import (
     OPT_MSE,
     SINGLE_RESTART,

@@ -12,7 +12,8 @@ Commands::
 Every data-producing command requires ``--seed``; outputs are then byte
 deterministic. Flags override values from an optional ``--config`` file
 (flat ``key=value`` lines, ``#`` comments), which override the documented
-defaults. Exit codes: 0 success, 1 verification failure, 2 usage error.
+defaults. Exit codes: 0 success, 1 verification or write failure, 2 usage
+error or an input the method cannot handle (any ``ValueError``).
 """
 
 from __future__ import annotations
@@ -296,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.out is None:
             sys.stdout.write(text)
         return 0
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -11,7 +11,8 @@ the conformal scores to
 where ``beta_hat`` is the full-sample fit. The same formula with the
 submodel design ``Z``, leverages ``g``, and residuals ``v_i`` gives the
 scores of a learner that omits covariates. Equality with brute-force
-refits is covered by tests rather than assumed.
+refits (``build_loo_ensemble`` with an ``OlsLearner``) is covered by
+tests rather than assumed.
 
 This module also quantifies the bias/shift bookkeeping behind interval
 validity under a wrong submodel: dropping covariates biases the point
@@ -27,20 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conformal import interval_from_scores
 from .linalg import least_squares
-from .quantiles import order_stat_index
 from .rng import RngStream, as_generator
 from .scenarios import LinearScenario, gen_linear
 
 
 @dataclass(frozen=True)
 class ClosedFormScores:
-    """Conformal scores of a least-squares learner at one test point."""
+    """Conformal scores of a least-squares learner: (n, m) for m test rows."""
 
     beta_hat: np.ndarray
     deleted_residuals: np.ndarray
     leverage_cross: np.ndarray
-    point_prediction: float
+    point_prediction: np.ndarray
     scores: np.ndarray
 
 
@@ -61,38 +62,22 @@ class HomeostasisReport:
     w_perp: np.ndarray
 
 
-def closed_form_scores(X: np.ndarray, y: np.ndarray, x_new: np.ndarray) -> ClosedFormScores:
-    """Jackknife-plus scores for the least-squares learner on design ``X``."""
+def closed_form_scores(X: np.ndarray, y: np.ndarray, X_new: np.ndarray) -> ClosedFormScores:
+    """Jackknife-plus scores on design ``X`` at the (m, p) test rows ``X_new``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    x_new = np.asarray(x_new, dtype=float)
+    X_new = np.asarray(X_new, dtype=float)
     fit = least_squares(X, y)
-    h_diag = fit.hat_diag()
-    u = (y - X @ fit.beta) / (1.0 - h_diag)
-    cross = fit.hat_cross(x_new)
-    pred = float(x_new @ fit.beta)
-    scores = pred + (1.0 - cross) * u
+    u = (y - X @ fit.beta) / (1.0 - fit.hat_diag())
+    cross = fit.hat_cross_many(X_new)
+    pred = X_new @ fit.beta
     return ClosedFormScores(
         beta_hat=fit.beta,
         deleted_residuals=u,
         leverage_cross=cross,
         point_prediction=pred,
-        scores=scores,
+        scores=pred[None, :] + (1.0 - cross) * u[:, None],
     )
-
-
-def closed_form_scores_submodel(Z: np.ndarray, y: np.ndarray, z_new: np.ndarray) -> ClosedFormScores:
-    """Same construction for a submodel that regresses on ``Z`` only."""
-    return closed_form_scores(Z, y, z_new)
-
-
-def interval_from_scores(scores: np.ndarray, alpha: float) -> tuple[float, float, bool]:
-    """Two-sided interval endpoints from the score order statistics."""
-    s = np.sort(np.asarray(scores, dtype=float))
-    n = s.size
-    lower = s[order_stat_index(n, alpha / 2.0) - 1]
-    upper = s[order_stat_index(n, 1.0 - alpha / 2.0) - 1]
-    return float(lower), float(upper), n * alpha / 2.0 < 1.0
 
 
 def interval_width(scores: np.ndarray, alpha: float) -> float:
@@ -124,7 +109,7 @@ def homeostasis_report(
 
     fit = least_squares(Z, np.zeros(Z.shape[0]))
     g_diag = fit.hat_diag()
-    g_cross = fit.hat_cross(z_new)
+    g_cross = fit.hat_cross_many(z_new[None, :])[:, 0]
     # coefficients of regressing each W column on Z, and the residual part of W
     from scipy.linalg import solve_triangular
 
@@ -161,9 +146,7 @@ def width_ordering_trial(
     ones = np.ones((n, 1))
     X = np.hstack([ones, dataset.X])
     Z = X[:, :2]
-    x_bar = X.mean(axis=0)
-    width_full = interval_width(closed_form_scores(X, dataset.y, x_bar).scores, alpha)
-    width_sub = interval_width(
-        closed_form_scores_submodel(Z, dataset.y, x_bar[:2]).scores, alpha
-    )
-    return width_full, width_sub
+    x_bar = X.mean(axis=0)[None, :]
+    full = closed_form_scores(X, dataset.y, x_bar).scores[:, 0]
+    sub = closed_form_scores(Z, dataset.y, x_bar[:, :2]).scores[:, 0]
+    return interval_width(full, alpha), interval_width(sub, alpha)

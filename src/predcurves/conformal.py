@@ -78,10 +78,6 @@ class LooEnsemble:
     def n(self) -> int:
         return len(self.models)
 
-    def predictions_at(self, x_new: np.ndarray) -> np.ndarray:
-        x_new = np.asarray(x_new, dtype=float).reshape(1, -1)
-        return np.array([float(m.predict(x_new)[0]) for m in self.models])
-
     def prediction_matrix(self, X_new: np.ndarray) -> np.ndarray:
         """Stacked LOO predictions for several test rows; shape (n, m)."""
         X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
@@ -106,21 +102,6 @@ class PredictiveResult:
     @property
     def n(self) -> int:
         return self.scores.size
-
-
-@dataclass(frozen=True)
-class PredictiveInterval:
-    lower: float
-    upper: float
-    alpha: float
-    clamped: bool
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
-    def contains(self, y: float) -> bool:
-        return self.lower <= y <= self.upper
 
 
 def require_loo_rows(dataset: Dataset) -> None:
@@ -162,42 +143,41 @@ def conformal_scores(ensemble: LooEnsemble, x_new: np.ndarray) -> PredictiveResu
     x_new = np.asarray(x_new, dtype=float)
     if x_new.ndim != 1 or x_new.size != ensemble.x_dim:
         raise ValueError(f"x_new must have dimension {ensemble.x_dim}")
-    scores = ensemble.predictions_at(x_new) + ensemble.loo_residuals
+    scores = ensemble.prediction_matrix(x_new[None, :])[:, 0] + ensemble.loo_residuals
     return PredictiveResult(scores=scores, x_new=x_new)
 
 
-def predictive_cdf(result: PredictiveResult, y: float) -> float:
-    """Fraction of scores at or below ``y``: the predictive distribution."""
-    count = np.searchsorted(result.sorted_scores, y, side="right")
-    return float(count) / result.n
+def predictive_cdf(result: PredictiveResult, y):
+    """Fraction of scores at or below ``y`` (scalar or array): the predictive distribution."""
+    return np.searchsorted(result.sorted_scores, y, side="right") / result.n
 
 
-def predictive_curve(result: PredictiveResult, y: float) -> float:
-    """Two-sided curve ``2 min(Q(y), 1 - Q(y))``, in [0, 1].
+def predictive_curve(result: PredictiveResult, y):
+    """Two-sided curve ``2 min(Q(y), 1 - Q(y))``, in [0, 1]; scalar or array ``y``.
 
     Level sets ``{y : PV(y) >= alpha}`` stack the two-sided predictive
     intervals of every level; the peak marks a median-unbiased point
     prediction.
     """
     q = predictive_cdf(result, y)
-    return 2.0 * min(q, 1.0 - q)
+    return 2.0 * np.minimum(q, 1.0 - q)
 
 
-def predictive_interval(result: PredictiveResult, alpha: float) -> PredictiveInterval:
-    """Two-sided interval from the ``alpha/2`` and ``1 - alpha/2`` score quantiles.
+def interval_from_scores(scores: np.ndarray, alpha: float) -> tuple[float, float, bool]:
+    """Two-sided interval ``(lower, upper, clamped)`` from the score order statistics.
 
-    When ``n * alpha / 2 < 1`` the endpoints clamp to the extreme order
-    statistics and the interval is flagged; the coverage guarantee is
+    The endpoints are the ``alpha/2`` and ``1 - alpha/2`` quantiles of the
+    scores. When ``n * alpha / 2 < 1`` they clamp to the extreme order
+    statistics and ``clamped`` is set; the coverage guarantee is
     unaffected (the interval only widens).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    s = result.sorted_scores
-    n = result.n
-    clamped = n * alpha / 2.0 < 1.0
+    s = np.sort(np.asarray(scores, dtype=float))
+    n = s.size
     lower = s[order_stat_index(n, alpha / 2.0) - 1]
     upper = s[order_stat_index(n, 1.0 - alpha / 2.0) - 1]
-    return PredictiveInterval(lower=float(lower), upper=float(upper), alpha=alpha, clamped=clamped)
+    return float(lower), float(upper), n * alpha / 2.0 < 1.0
 
 
 def median_point_prediction(result: PredictiveResult) -> float:
@@ -220,5 +200,5 @@ def curve_grid(result: PredictiveResult, points: int) -> np.ndarray:
     base = np.linspace(s[0] - pad, s[-1] + pad, points)
     eps = 1e-9 * max(1.0, float(np.max(np.abs(s))))
     ys = np.unique(np.concatenate([base, s - eps, s, s + eps]))
-    pv = np.array([predictive_curve(result, y) for y in ys])
+    pv = predictive_curve(result, ys)
     return np.column_stack([ys, pv])

@@ -46,12 +46,6 @@ class FeatureMap:
             self.kind
         ]
 
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size != self.input_dim:
-            raise ValueError(f"expected covariate of dimension {self.input_dim}, got shape {x.shape}")
-        return self.expand_matrix(x[None, :])[0]
-
     def expand_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
@@ -64,11 +58,6 @@ class FeatureMap:
         if self.kind == "first-squared":
             return np.hstack([ones, X[:, :1] ** 2])
         return ones
-
-
-def feature_expand(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
-    """Expand a single covariate vector through ``fmap``."""
-    return fmap.expand(x)
 
 
 class OlsModel:

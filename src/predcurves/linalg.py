@@ -32,9 +32,6 @@ class LeastSquaresFit:
     q: np.ndarray
     r: np.ndarray
 
-    def predict(self, X_new: np.ndarray) -> np.ndarray:
-        return np.asarray(X_new, dtype=float) @ self.beta
-
     def hat_diag(self) -> np.ndarray:
         """Diagonal of the projection matrix; errors on leverage-one points."""
         diag = np.einsum("ij,ij->i", self.q, self.q)
@@ -42,13 +39,8 @@ class LeastSquaresFit:
             raise ValueError("leverage-one point")
         return diag
 
-    def hat_cross(self, x_s: np.ndarray) -> np.ndarray:
-        """Vector of cross leverages h_{i,s} for one query point ``x_s``."""
-        t = solve_triangular(self.r, np.asarray(x_s, dtype=float), trans="T")
-        return self.q @ t
-
     def hat_cross_many(self, X_s: np.ndarray) -> np.ndarray:
-        """Cross leverages for several query points; shape (n, m).
+        """Cross leverages ``h_{i,s}`` for the m query rows of ``X_s``; shape (n, m).
 
         One triangular solve per point: OpenBLAS runs a solve with several
         right-hand sides on its thread pool, which for these p x p systems
@@ -78,19 +70,3 @@ def least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
     beta = solve_triangular(r, q.T @ y)
     return LeastSquaresFit(beta=beta, q=q, r=r)
 
-
-def ols_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients for design ``X`` and response ``y``."""
-    return least_squares(X, y).beta
-
-
-def hat_values(X: np.ndarray, x_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hat diagonal of ``X`` and cross leverages against the point ``x_s``.
-
-    Returns ``(diag, cross)`` with ``diag[i] = h_ii`` and
-    ``cross[i] = h_{i,s}``. Raises ``ValueError("leverage-one point")``
-    whenever some ``h_ii >= 1 - LEVERAGE_TOL``, because deleted residuals
-    are undefined there.
-    """
-    fit = least_squares(X, np.zeros(np.asarray(X).shape[0]))
-    return fit.hat_diag(), fit.hat_cross(x_s)

@@ -86,11 +86,15 @@ def _init_params(arch: MlpArchitecture, gen: np.random.Generator, batch: int) ->
 
 
 def _forward(params: list, X: np.ndarray) -> tuple[list, np.ndarray]:
-    """Batched forward pass. Returns (preactivations per layer, outputs (B, n))."""
+    """Forward pass. Returns (preactivations per layer, outputs (B, n)).
+
+    Layer weights of shape (B, out, in) run a batch of B networks; 2-D
+    weights run one network and give outputs of shape (n,).
+    """
     h = X
     preacts = []
     for W in params:
-        z = h @ np.swapaxes(W, -1, -2)
+        z = h @ W.swapaxes(-1, -2)
         preacts.append(z)
         h = np.maximum(z, 0.0)
     return preacts, h[..., 0]
@@ -316,10 +320,8 @@ class MlpModel:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.input_indices is not None:
             X = X[:, list(self.input_indices)]
-        h = X
-        for W in self.params:
-            h = np.maximum(h @ W.T, 0.0)
-        return h[:, 0]
+        _, out = _forward(self.params, X)
+        return out
 
 
 @dataclass(frozen=True)

@@ -21,16 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .closed_form import interval_from_scores
+from .closed_form import closed_form_scores
 from .conformal import (
     Dataset,
     PredictiveResult,
     build_loo_ensemble,
     curve_grid,
+    interval_from_scores,
     require_loo_rows,
 )
 from .learners import FeatureMap, OlsLearner
-from .linalg import least_squares
 from .mlp import (
     OPT_MSE,
     SINGLE_RESTART,
@@ -133,20 +133,20 @@ def _scenario_id(scenario, iid: bool) -> str:
 def score_matrix(dataset: Dataset, learner, X_test: np.ndarray, gen) -> np.ndarray:
     """Conformal scores for every test row; shape (n_train, n_test).
 
-    Least-squares learners use the closed-form identity on the expanded
-    design; everything else builds the leave-one-out ensemble once and
-    reuses it across test points.
+    Every path first checks that ``X_test`` is an (m, d) matrix of finite
+    rows. Least-squares learners use the closed-form identity on the
+    expanded design; everything else builds the leave-one-out ensemble
+    once and reuses it across test points.
     """
     require_loo_rows(dataset)
+    X_test = np.asarray(X_test, dtype=float)
+    if X_test.ndim != 2 or X_test.shape[1] != dataset.dim:
+        raise ValueError(f"test rows must be an (m, {dataset.dim}) matrix, not {X_test.shape}")
+    if not np.all(np.isfinite(X_test)):
+        raise ValueError("test rows must be finite")
     if isinstance(learner, OlsLearner):
-        design = learner.feature_map.expand_matrix(dataset.X)
-        fit = least_squares(design, dataset.y)
-        h_diag = fit.hat_diag()
-        u = (dataset.y - design @ fit.beta) / (1.0 - h_diag)
-        feats = learner.feature_map.expand_matrix(np.atleast_2d(X_test))
-        cross = fit.hat_cross_many(feats)
-        preds = feats @ fit.beta
-        return preds[None, :] + (1.0 - cross) * u[:, None]
+        expand = learner.feature_map.expand_matrix
+        return closed_form_scores(expand(dataset.X), dataset.y, expand(X_test)).scores
     ensemble = build_loo_ensemble(dataset, learner, gen)
     return ensemble.prediction_matrix(X_test) + ensemble.loo_residuals[:, None]
 

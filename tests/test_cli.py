@@ -151,17 +151,35 @@ class TestMainExitCodes:
 
     def test_verify_detects_corrupted_quantile_rule(self, capsys, monkeypatch):
         # narrow every interval by several ranks; the coverage floor must trip
-        import predcurves.closed_form as cf
+        import predcurves.conformal as conformal
 
-        original = cf.order_stat_index
+        original = conformal.order_stat_index
 
         def corrupted(n, alpha):
             k = original(n, alpha)
             return min(n, max(1, k + (8 if alpha < 0.5 else -8)))
 
-        monkeypatch.setattr(cf, "order_stat_index", corrupted)
+        monkeypatch.setattr(conformal, "order_stat_index", corrupted)
         assert main(["verify", "--seed", "0"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["curves", "--x-new", "1,2,3"], "must be an (m, 2) matrix"),
+            (["curves", "--x-new", "nan,1"], "test rows must be finite"),
+            (["table3", "--depth", "1"], "at least 2 layers"),
+            (["curves", "--scenario", "nn", "--depth", "1"], "at least 2 layers"),
+            (["table1", "--n-train", "2"], "at least 3 training rows"),
+            (["table1", "--n-train", "3"], "leverage-one point"),
+        ],
+        ids=["x-new-dim", "x-new-nan", "table3-depth", "curves-depth", "n-train-2", "leverage-one"],
+    )
+    def test_inputs_the_method_cannot_handle_exit_2(self, capsys, argv, message):
+        assert main([*argv, "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
     def test_verify_repeatable(self, capsys):
         assert main(["verify", "--seed", "3"]) == 0

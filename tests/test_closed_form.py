@@ -4,28 +4,25 @@ from scipy.special import ndtri
 
 from predcurves.closed_form import (
     closed_form_scores,
-    closed_form_scores_submodel,
     homeostasis_report,
-    interval_from_scores,
     interval_width,
     width_ordering_trial,
 )
-from predcurves.conformal import Dataset, build_loo_ensemble, conformal_scores
+from predcurves.conformal import Dataset, build_loo_ensemble, conformal_scores, interval_from_scores
 from predcurves.learners import FeatureMap, OlsLearner
 from predcurves.linalg import least_squares
 from predcurves.rng import RngStream
 from predcurves.scenarios import LinearScenario, gen_linear
 
 
-def brute_force_scores(X, y, x_new):
-    """Independent oracle: actually refit with each row left out."""
-    n = X.shape[0]
-    scores = np.empty(n)
-    for i in range(n):
-        keep = np.arange(n) != i
-        beta = least_squares(X[keep], y[keep]).beta
-        scores[i] = x_new @ beta + (y[i] - X[i] @ beta)
-    return scores
+def refit_ensemble(X, y):
+    """Independent oracle: n least-squares refits, each with one row left out.
+
+    ``X`` starts with an intercept column, which the ``linear`` feature map
+    rebuilds exactly from the remaining columns.
+    """
+    learner = OlsLearner(FeatureMap("linear", input_dim=X.shape[1] - 1))
+    return build_loo_ensemble(Dataset(X[:, 1:], y), learner, np.random.default_rng(0))
 
 
 class TestClosedFormScores:
@@ -33,19 +30,20 @@ class TestClosedFormScores:
         gen = RngStream(100, 0).generator()
         X = np.column_stack([np.ones(25), gen.standard_normal((25, 2))])
         y = gen.standard_normal(25)
-        x_new = np.array([1.0, *gen.standard_normal(2)])
-        result = closed_form_scores(X, y, x_new)
-        np.testing.assert_allclose(result.scores, brute_force_scores(X, y, x_new), atol=1e-8)
+        X_new = np.column_stack([np.ones(3), gen.standard_normal((3, 2))])
+        result = closed_form_scores(X, y, X_new)
+        ensemble = refit_ensemble(X, y)
+        refit = ensemble.prediction_matrix(X_new[:, 1:]) + ensemble.loo_residuals[:, None]
+        np.testing.assert_allclose(result.scores, refit, atol=1e-8)
 
     def test_deleted_residuals_match_refit_predictions(self):
         gen = RngStream(100, 1).generator()
         X = np.column_stack([np.ones(20), gen.standard_normal((20, 2))])
         y = gen.standard_normal(20)
-        result = closed_form_scores(X, y, X[3])
-        for i in range(20):
-            keep = np.arange(20) != i
-            beta = least_squares(X[keep], y[keep]).beta
-            assert result.deleted_residuals[i] == pytest.approx(y[i] - X[i] @ beta, abs=1e-10)
+        result = closed_form_scores(X, y, X[3:4])
+        np.testing.assert_allclose(
+            result.deleted_residuals, refit_ensemble(X, y).loo_residuals, atol=1e-10
+        )
 
     def test_noiseless_data_gives_zero_width(self):
         gen = RngStream(100, 2).generator()
@@ -53,19 +51,20 @@ class TestClosedFormScores:
         beta = np.array([-1.0, 2.0, 2.0])
         y = X @ beta
         x_new = np.array([1.0, 0.3, -0.2])
-        result = closed_form_scores(X, y, x_new)
+        result = closed_form_scores(X, y, x_new[None, :])
         np.testing.assert_allclose(result.deleted_residuals, 0.0, atol=1e-10)
         np.testing.assert_allclose(result.scores, x_new @ beta, atol=1e-10)
-        assert interval_width(result.scores, 0.05) == pytest.approx(0.0, abs=1e-10)
+        assert interval_width(result.scores[:, 0], 0.05) == pytest.approx(0.0, abs=1e-10)
 
     def test_cross_leverage_at_training_point(self):
         gen = RngStream(100, 3).generator()
         X = np.column_stack([np.ones(12), gen.standard_normal((12, 2))])
         y = gen.standard_normal(12)
-        fit = least_squares(X, y)
-        result = closed_form_scores(X, y, X[5])
-        np.testing.assert_allclose(result.leverage_cross, fit.hat_cross(X[5]), atol=1e-12)
-        assert result.leverage_cross[5] == pytest.approx(fit.hat_diag()[5], abs=1e-12)
+        result = closed_form_scores(X, y, X[5:6])
+        oracle = X @ np.linalg.solve(X.T @ X, X[5])
+        np.testing.assert_allclose(result.leverage_cross[:, 0], oracle, atol=1e-12)
+        diag = least_squares(X, y).hat_diag()
+        assert result.leverage_cross[5, 0] == pytest.approx(diag[5], abs=1e-12)
 
     def test_matches_generic_engine_all_feature_maps(self):
         gen = RngStream(100, 4).generator()
@@ -77,32 +76,25 @@ class TestClosedFormScores:
             learner = OlsLearner(fmap)
             ensemble = build_loo_ensemble(Dataset(X_raw, y), learner, gen)
             engine = conformal_scores(ensemble, x_raw).scores
-            closed = closed_form_scores(fmap.expand_matrix(X_raw), y, fmap.expand(x_raw)).scores
-            np.testing.assert_allclose(np.sort(closed), np.sort(engine), atol=1e-8)
+            closed = closed_form_scores(
+                fmap.expand_matrix(X_raw), y, fmap.expand_matrix(x_raw[None, :])
+            ).scores[:, 0]
+            np.testing.assert_allclose(closed, engine, atol=1e-8)
 
 
 class TestSubmodelScores:
-    def test_full_design_reduces_to_full_model(self):
-        gen = RngStream(101, 0).generator()
-        X = np.column_stack([np.ones(18), gen.standard_normal((18, 2))])
-        y = gen.standard_normal(18)
-        x_new = np.array([1.0, 0.5, 0.5])
-        a = closed_form_scores(X, y, x_new)
-        b = closed_form_scores_submodel(X, y, x_new)
-        np.testing.assert_array_equal(a.scores, b.scores)
-
     def test_intercept_only_hand_algebra(self):
         gen = RngStream(101, 1).generator()
         n = 14
         y = gen.standard_normal(n)
         Z = np.ones((n, 1))
-        result = closed_form_scores_submodel(Z, y, np.array([1.0]))
+        result = closed_form_scores(Z, y, np.ones((1, 1)))
         ybar = y.mean()
         np.testing.assert_allclose(result.beta_hat, [ybar], atol=1e-12)
         np.testing.assert_allclose(
             result.deleted_residuals, (y - ybar) / (1.0 - 1.0 / n), atol=1e-12
         )
-        np.testing.assert_allclose(result.leverage_cross, np.full(n, 1.0 / n), atol=1e-12)
+        np.testing.assert_allclose(result.leverage_cross, np.full((n, 1), 1.0 / n), atol=1e-12)
 
     def test_matches_generic_engine_drop_w(self):
         gen = RngStream(101, 2).generator()
@@ -112,10 +104,10 @@ class TestSubmodelScores:
         fmap = FeatureMap("first-only", input_dim=2)
         ensemble = build_loo_ensemble(Dataset(X_raw, y), OlsLearner(fmap), gen)
         engine = conformal_scores(ensemble, x_raw).scores
-        closed = closed_form_scores_submodel(
-            fmap.expand_matrix(X_raw), y, fmap.expand(x_raw)
-        ).scores
-        np.testing.assert_allclose(np.sort(closed), np.sort(engine), atol=1e-8)
+        closed = closed_form_scores(
+            fmap.expand_matrix(X_raw), y, fmap.expand_matrix(x_raw[None, :])
+        ).scores[:, 0]
+        np.testing.assert_allclose(closed, engine, atol=1e-8)
 
 
 class TestHomeostasis:
@@ -189,10 +181,10 @@ class TestUnbiasednessHooks:
             dataset, (X_test, _) = gen_linear(scenario, True, gen, n_train=60, n_test=1)
             X = np.hstack([np.ones((60, 1)), dataset.X])
             x_new = np.array([1.0, *X_test[0]])
-            result = closed_form_scores(X, dataset.y, x_new)
-            pred_errors[rep] = result.point_prediction - x_new @ beta
+            result = closed_form_scores(X, dataset.y, x_new[None, :])
+            pred_errors[rep] = result.point_prediction[0] - x_new @ beta
             noise_means[rep] = np.mean(
-                (1.0 - result.leverage_cross) * result.deleted_residuals
+                (1.0 - result.leverage_cross[:, 0]) * result.deleted_residuals
             )
         for values in (pred_errors, noise_means):
             stderr = values.std(ddof=1) / np.sqrt(reps)

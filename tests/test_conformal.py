@@ -7,10 +7,10 @@ from predcurves.conformal import (
     build_loo_ensemble,
     conformal_scores,
     curve_grid,
+    interval_from_scores,
     median_point_prediction,
     predictive_cdf,
     predictive_curve,
-    predictive_interval,
 )
 from predcurves.learners import FeatureMap, OlsLearner, zero_learner
 from predcurves.rng import RngStream
@@ -94,10 +94,10 @@ class TestLooEnsemble:
         )
         np.testing.assert_allclose(shifted.scores, base.scores + 5.5, atol=1e-10)
         for alpha in (0.1, 0.3):
-            b = predictive_interval(base, alpha)
-            s = predictive_interval(shifted, alpha)
-            assert s.lower == pytest.approx(b.lower + 5.5, abs=1e-10)
-            assert s.upper == pytest.approx(b.upper + 5.5, abs=1e-10)
+            b_lower, b_upper, _ = interval_from_scores(base.scores, alpha)
+            s_lower, s_upper, _ = interval_from_scores(shifted.scores, alpha)
+            assert s_lower == pytest.approx(b_lower + 5.5, abs=1e-10)
+            assert s_upper == pytest.approx(b_upper + 5.5, abs=1e-10)
 
 
 class TestPredictiveCdf:
@@ -137,43 +137,52 @@ class TestPredictiveCurve:
         for delta in (0.3, 1.2, 1.7):
             assert predictive_curve(r, delta) == pytest.approx(predictive_curve(r, -delta))
 
+    def test_array_call_equals_scalar_calls(self):
+        gen = np.random.default_rng(4)
+        r = _result(np.round(gen.standard_normal(23), 1))  # rounded: ties present
+        ys = np.concatenate([gen.standard_normal(50), r.scores, [-np.inf, np.inf]])
+        for fn in (predictive_cdf, predictive_curve):
+            values = fn(r, ys)
+            assert values.shape == ys.shape
+            np.testing.assert_array_equal(values, [fn(r, y) for y in ys])
+
 
 class TestPredictiveInterval:
     def test_order_statistic_endpoints(self):
         gen = np.random.default_rng(0)
         scores = gen.standard_normal(300)
         s = np.sort(scores)
-        interval = predictive_interval(_result(scores), 0.05)
-        assert interval.lower == s[7]  # 8th order statistic
-        assert interval.upper == s[292]  # 293rd
-        assert not interval.clamped
+        lower, upper, clamped = interval_from_scores(scores, 0.05)
+        assert lower == s[7]  # 8th order statistic
+        assert upper == s[292]  # 293rd
+        assert not clamped
 
     def test_explicit_grid(self):
-        interval = predictive_interval(_result(np.arange(1.0, 101.0)), 0.2)
-        assert (interval.lower, interval.upper) == (10.0, 90.0)
+        lower, upper, _ = interval_from_scores(np.arange(1.0, 101.0), 0.2)
+        assert (lower, upper) == (10.0, 90.0)
 
     def test_tiny_alpha_clamps_to_extremes(self):
         scores = np.arange(10.0)
-        interval = predictive_interval(_result(scores), 0.01)
-        assert interval.clamped
-        assert interval.lower == 0.0
-        assert interval.upper == 9.0
+        lower, upper, clamped = interval_from_scores(scores, 0.01)
+        assert clamped
+        assert lower == 0.0
+        assert upper == 9.0
 
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
-            predictive_interval(_result([1, 2, 3]), 1.2)
+            interval_from_scores(np.array([1.0, 2.0, 3.0]), 1.2)
 
     def test_duality_with_curve(self):
         gen = np.random.default_rng(8)
         r = _result(gen.standard_normal(41))  # continuous draws: tie free
         for alpha in (0.1, 0.25):
-            interval = predictive_interval(r, alpha)
+            lower, upper, _ = interval_from_scores(r.scores, alpha)
             grid = curve_grid(r, 301)
-            inside = grid[(grid[:, 0] > interval.lower) & (grid[:, 0] < interval.upper)]
+            inside = grid[(grid[:, 0] > lower) & (grid[:, 0] < upper)]
             assert np.all(inside[:, 1] >= alpha - 1e-12)
             level_set = grid[grid[:, 1] >= alpha]
-            assert level_set[:, 0].min() >= interval.lower - 1e-9
-            assert level_set[:, 0].max() <= interval.upper + 1e-9
+            assert level_set[:, 0].min() >= lower - 1e-9
+            assert level_set[:, 0].max() <= upper + 1e-9
 
 
 class TestMedianPointPrediction:

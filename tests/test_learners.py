@@ -7,7 +7,6 @@ from predcurves.learners import (
     FeatureMap,
     OlsLearner,
     adversarial_learner,
-    feature_expand,
     zero_learner,
 )
 
@@ -15,25 +14,25 @@ from predcurves.learners import (
 class TestFeatureMap:
     def test_first_squared(self):
         fmap = FeatureMap("first-squared", input_dim=2)
-        np.testing.assert_allclose(feature_expand(fmap, np.array([2.0, 5.0])), [1.0, 4.0])
+        np.testing.assert_allclose(fmap.expand_matrix(np.array([[2.0, 5.0]]))[0], [1.0, 4.0])
 
     def test_intercept_only(self):
         fmap = FeatureMap("intercept", input_dim=2)
-        np.testing.assert_allclose(feature_expand(fmap, np.array([3.0, -4.0])), [1.0])
+        np.testing.assert_allclose(fmap.expand_matrix(np.array([[3.0, -4.0]]))[0], [1.0])
 
     def test_linear_keeps_coordinates(self):
         fmap = FeatureMap("linear", input_dim=2)
         x = np.array([0.365, -0.026])
-        np.testing.assert_allclose(feature_expand(fmap, x), [1.0, 0.365, -0.026])
+        np.testing.assert_allclose(fmap.expand_matrix(x[None, :])[0], [1.0, 0.365, -0.026])
 
     def test_first_only(self):
         fmap = FeatureMap("first-only", input_dim=2)
-        np.testing.assert_allclose(feature_expand(fmap, np.array([1.5, 9.0])), [1.0, 1.5])
+        np.testing.assert_allclose(fmap.expand_matrix(np.array([[1.5, 9.0]]))[0], [1.0, 1.5])
 
     def test_dimension_mismatch(self):
         fmap = FeatureMap("linear", input_dim=2)
         with pytest.raises(ValueError):
-            fmap.expand(np.array([1.0, 2.0, 3.0]))
+            fmap.expand_matrix(np.array([[1.0, 2.0, 3.0]]))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -38,6 +38,13 @@ class TestLearnerSpecs:
             deep_architecture(1)
 
 
+SCORING_PATHS = pytest.mark.parametrize(
+    "learner",
+    [OlsLearner(FeatureMap("intercept", input_dim=2)), zero_learner()],
+    ids=["closed-form", "refit"],
+)
+
+
 class TestScoreMatrix:
     def test_fast_path_matches_engine(self):
         scenario = LinearScenario()
@@ -53,18 +60,30 @@ class TestScoreMatrix:
         ensemble = build_loo_ensemble(dataset, learner, gen)
         for j in range(4):
             engine = conformal_scores(ensemble, X_test[j]).scores
-            np.testing.assert_allclose(np.sort(fast[:, j]), np.sort(engine), atol=1e-8)
+            np.testing.assert_allclose(fast[:, j], engine, atol=1e-8)
 
-
-    @pytest.mark.parametrize(
-        "learner",
-        [OlsLearner(FeatureMap("intercept", input_dim=2)), zero_learner()],
-        ids=["closed-form", "refit"],
-    )
+    @SCORING_PATHS
     def test_every_path_needs_three_rows(self, learner):
         dataset = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="at least 3 training rows"):
             score_matrix(dataset, learner, np.zeros((1, 2)), np.random.default_rng(0))
+
+    @SCORING_PATHS
+    @pytest.mark.parametrize(
+        "X_test, message",
+        [
+            (np.zeros(2), r"must be an \(m, 2\) matrix"),
+            (np.zeros((1, 3)), r"must be an \(m, 2\) matrix"),
+            (np.zeros((1, 1, 2)), r"must be an \(m, 2\) matrix"),
+            (np.array([[0.0, np.nan]]), "must be finite"),
+            (np.array([[np.inf, 0.0]]), "must be finite"),
+        ],
+        ids=["1-d", "3-columns", "3-d", "nan", "inf"],
+    )
+    def test_every_path_checks_test_rows(self, learner, X_test, message):
+        dataset = Dataset(np.arange(8.0).reshape(4, 2) ** 2, np.arange(4.0))
+        with pytest.raises(ValueError, match=message):
+            score_matrix(dataset, learner, X_test, np.random.default_rng(0))
 
 
 class TestCoverageStudy:
