@@ -15,7 +15,6 @@ from .closed_form import (
     HomeostasisReport,
     closed_form_scores,
     homeostasis_report,
-    interval_width,
     width_ordering_trial,
 )
 from .conformal import (
@@ -23,7 +22,6 @@ from .conformal import (
     LooEnsemble,
     PredictiveResult,
     build_loo_ensemble,
-    conformal_scores,
     curve_grid,
     interval_from_scores,
     median_point_prediction,
@@ -53,8 +51,6 @@ from .mlp import (
     MlpModel,
     TrainerConfig,
     canonicalize_mlp,
-    mlp_forward,
-    mlp_gradient,
 )
 from .quantiles import order_stat_index, order_stat_quantile
 from .rng import RngStream

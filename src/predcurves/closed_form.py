@@ -80,11 +80,6 @@ def closed_form_scores(X: np.ndarray, y: np.ndarray, X_new: np.ndarray) -> Close
     )
 
 
-def interval_width(scores: np.ndarray, alpha: float) -> float:
-    lower, upper, _ = interval_from_scores(scores, alpha)
-    return upper - lower
-
-
 def homeostasis_report(
     Z: np.ndarray, W: np.ndarray, beta: np.ndarray, x_new: np.ndarray
 ) -> HomeostasisReport:
@@ -147,6 +142,8 @@ def width_ordering_trial(
     X = np.hstack([ones, dataset.X])
     Z = X[:, :2]
     x_bar = X.mean(axis=0)[None, :]
-    full = closed_form_scores(X, dataset.y, x_bar).scores[:, 0]
-    sub = closed_form_scores(Z, dataset.y, x_bar[:, :2]).scores[:, 0]
-    return interval_width(full, alpha), interval_width(sub, alpha)
+    full = closed_form_scores(X, dataset.y, x_bar).scores
+    sub = closed_form_scores(Z, dataset.y, x_bar[:, :2]).scores
+    lower, upper, _ = interval_from_scores(np.hstack([full, sub]), alpha)
+    width_full, width_sub = (upper - lower).tolist()
+    return width_full, width_sub

@@ -72,7 +72,6 @@ class LooEnsemble:
 
     models: tuple
     loo_residuals: np.ndarray
-    x_dim: int
 
     @property
     def n(self) -> int:
@@ -83,13 +82,16 @@ class LooEnsemble:
         X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
         return np.stack([np.asarray(m.predict(X_new), dtype=float) for m in self.models])
 
+    def scores(self, X_new: np.ndarray) -> np.ndarray:
+        """Conformal scores ``s_ij = models[i].predict(x_j) + loo_residuals[i]``; shape (n, m)."""
+        return self.prediction_matrix(X_new) + self.loo_residuals[:, None]
+
 
 @dataclass(frozen=True)
 class PredictiveResult:
     """Conformal scores for one test covariate, with a cached sorted view."""
 
     scores: np.ndarray
-    x_new: np.ndarray
     sorted_scores: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -135,16 +137,7 @@ def build_loo_ensemble(dataset: Dataset, learner, rng: RngStream | np.random.Gen
     residuals = np.empty(dataset.n)
     for i, model in enumerate(models):
         residuals[i] = dataset.y[i] - float(model.predict(dataset.X[i : i + 1])[0])
-    return LooEnsemble(models=tuple(models), loo_residuals=residuals, x_dim=dataset.dim)
-
-
-def conformal_scores(ensemble: LooEnsemble, x_new: np.ndarray) -> PredictiveResult:
-    """Scores ``s_i = models[i].predict(x_new) + loo_residuals[i]``."""
-    x_new = np.asarray(x_new, dtype=float)
-    if x_new.ndim != 1 or x_new.size != ensemble.x_dim:
-        raise ValueError(f"x_new must have dimension {ensemble.x_dim}")
-    scores = ensemble.prediction_matrix(x_new[None, :])[:, 0] + ensemble.loo_residuals
-    return PredictiveResult(scores=scores, x_new=x_new)
+    return LooEnsemble(models=tuple(models), loo_residuals=residuals)
 
 
 def predictive_cdf(result: PredictiveResult, y):
@@ -163,21 +156,23 @@ def predictive_curve(result: PredictiveResult, y):
     return 2.0 * np.minimum(q, 1.0 - q)
 
 
-def interval_from_scores(scores: np.ndarray, alpha: float) -> tuple[float, float, bool]:
-    """Two-sided interval ``(lower, upper, clamped)`` from the score order statistics.
+def interval_from_scores(scores: np.ndarray, alpha: float):
+    """Two-sided intervals ``(lower, upper, clamped)`` from the score order statistics.
 
-    The endpoints are the ``alpha/2`` and ``1 - alpha/2`` quantiles of the
-    scores. When ``n * alpha / 2 < 1`` they clamp to the extreme order
+    ``scores`` is (n,) for one test point or (n, m) with one column per
+    test point; ``lower`` and ``upper`` are then scalars or (m,) arrays.
+    The endpoints are the ``alpha/2`` and ``1 - alpha/2`` quantiles of each
+    column. When ``n * alpha / 2 < 1`` they clamp to the extreme order
     statistics and ``clamped`` is set; the coverage guarantee is
     unaffected (the interval only widens).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    s = np.sort(np.asarray(scores, dtype=float))
-    n = s.size
+    s = np.sort(np.asarray(scores, dtype=float), axis=0)
+    n = s.shape[0]
     lower = s[order_stat_index(n, alpha / 2.0) - 1]
     upper = s[order_stat_index(n, 1.0 - alpha / 2.0) - 1]
-    return float(lower), float(upper), n * alpha / 2.0 < 1.0
+    return lower, upper, n * alpha / 2.0 < 1.0
 
 
 def median_point_prediction(result: PredictiveResult) -> float:

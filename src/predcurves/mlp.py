@@ -54,10 +54,6 @@ class MlpArchitecture:
     def input_dim(self) -> int:
         return self.widths[0]
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.widths) - 1
-
 
 @dataclass(frozen=True)
 class TrainerConfig:
@@ -86,18 +82,17 @@ def _init_params(arch: MlpArchitecture, gen: np.random.Generator, batch: int) ->
 
 
 def _forward(params: list, X: np.ndarray) -> tuple[list, np.ndarray]:
-    """Forward pass. Returns (preactivations per layer, outputs (B, n)).
+    """Forward pass. Returns (post-ReLU activations per layer, outputs (B, n)).
 
     Layer weights of shape (B, out, in) run a batch of B networks; 2-D
     weights run one network and give outputs of shape (n,).
     """
     h = X
-    preacts = []
+    acts = []
     for W in params:
-        z = h @ W.swapaxes(-1, -2)
-        preacts.append(z)
-        h = np.maximum(z, 0.0)
-    return preacts, h[..., 0]
+        h = np.maximum(h @ W.swapaxes(-1, -2), 0.0)
+        acts.append(h)
+    return acts, h[..., 0]
 
 
 def _sse(out: np.ndarray, y: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
@@ -111,24 +106,26 @@ def _gradients(
     params: list,
     X: np.ndarray,
     y: np.ndarray,
-    preacts: list,
+    acts: list,
     out: np.ndarray,
     mask: np.ndarray | None,
 ) -> list:
     """Backpropagated gradient of the total squared error.
 
-    The ReLU subgradient at exactly zero is taken as zero.
+    ``acts`` are the post-ReLU activations of ``_forward``; a unit is live
+    where its activation is positive, which is exactly where its
+    preactivation is, so the ReLU subgradient at zero is taken as zero.
     """
     r = out - y
     if mask is not None:
         r = r * mask
-    delta = (2.0 * r)[..., None] * (preacts[-1] > 0)
+    delta = (2.0 * r)[..., None] * (acts[-1] > 0)
     grads: list = [None] * len(params)
     for layer in range(len(params) - 1, -1, -1):
-        a_prev = X if layer == 0 else np.maximum(preacts[layer - 1], 0.0)
+        a_prev = X if layer == 0 else acts[layer - 1]
         grads[layer] = np.swapaxes(delta, -1, -2) @ a_prev
         if layer > 0:
-            delta = (delta @ params[layer]) * (preacts[layer - 1] > 0)
+            delta = (delta @ params[layer]) * (a_prev > 0)
     return grads
 
 
@@ -156,10 +153,10 @@ def train_batched(
     from the working batch so long runs do not pay for finished restarts.
 
     Each iteration runs one forward pass, on the candidate step: its
-    preactivations, outputs and loss become the next iteration's for the
+    activations, outputs and loss become the next iteration's for the
     networks that accept the step, while rejected networks get their
     current rows copied back, along with their parameters. Retiring
-    networks does not compact the carried preactivations; ``rows`` maps
+    networks does not compact the carried activations; ``rows`` maps
     each working network to its row there, so only the rows of rejected
     networks are ever copied.
     """
@@ -180,7 +177,7 @@ def train_batched(
     alive = np.arange(batch)
     velocity = [np.zeros_like(W) for W in params]
     step = np.full(batch, config.initial_step)
-    preacts, out = _forward(params, X)
+    acts, out = _forward(params, X)
     loss = _sse(out, y, mask)
     rows = np.arange(batch)
 
@@ -202,7 +199,7 @@ def train_batched(
             mask = mask[keep]
 
     for _ in range(config.max_iterations):
-        grads = _gradients(params, X, y, preacts, out, mask)
+        grads = _gradients(params, X, y, acts, out, mask)
         gmax = np.zeros(alive.size)
         for g in grads:
             gmax = np.maximum(gmax, np.abs(g).reshape(alive.size, -1).max(axis=1))
@@ -219,19 +216,19 @@ def train_batched(
             V *= config.momentum
             V -= scale * g
         cand = [W + V for W, V in zip(params, velocity)]
-        cand_preacts, cand_out = _forward(cand, X)
+        cand_acts, cand_out = _forward(cand, X)
         cand_loss = _sse(cand_out, y, mask)
         reject = ~(cand_loss <= loss)
         if reject.any():
             for W, C, V in zip(params, cand, velocity):
                 C[reject] = W[reject]
                 V[reject] = 0.0
-            for Z, C in zip(preacts, cand_preacts):
-                C[reject] = Z[rows[reject]]
+            for H, C in zip(acts, cand_acts):
+                C[reject] = H[rows[reject]]
             cand_out[reject] = out[reject]
             cand_loss[reject] = loss[reject]
             step[reject] *= 0.5
-        params, preacts, out, loss = cand, cand_preacts, cand_out, cand_loss
+        params, acts, out, loss = cand, cand_acts, cand_out, cand_loss
         rows = np.arange(alive.size)
 
     if alive.size:
@@ -242,32 +239,6 @@ def train_batched(
     sel = np.arange(n_folds) * n_restarts + best
     best_params = [W[sel] for W in final_params]
     return best_params, final_loss[sel], restart_losses
-
-
-def mlp_forward(params: MlpParams, x: np.ndarray) -> float:
-    """Network output at a single covariate vector."""
-    x = np.asarray(x, dtype=float)
-    batched = [np.asarray(W, dtype=float)[None] for W in params]
-    _, out = _forward(batched, x[None, :])
-    return float(out[0, 0])
-
-
-def mlp_gradient(params: MlpParams, X: np.ndarray, y: np.ndarray) -> MlpParams:
-    """Gradient of the total squared error for a single network."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    batched = [np.asarray(W, dtype=float)[None] for W in params]
-    preacts, out = _forward(batched, X)
-    grads = _gradients(batched, X, y, preacts, out, None)
-    return [g[0] for g in grads]
-
-
-def mlp_loss(params: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
-    """Total squared error of a single network on (X, y)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    batched = [np.asarray(W, dtype=float)[None] for W in params]
-    _, out = _forward(batched, X)
-    return float(_sse(out, np.asarray(y, dtype=float), None)[0])
 
 
 def canonicalize_mlp(params: MlpParams, reference: MlpParams | None = None) -> MlpParams:

@@ -147,8 +147,7 @@ def score_matrix(dataset: Dataset, learner, X_test: np.ndarray, gen) -> np.ndarr
     if isinstance(learner, OlsLearner):
         expand = learner.feature_map.expand_matrix
         return closed_form_scores(expand(dataset.X), dataset.y, expand(X_test)).scores
-    ensemble = build_loo_ensemble(dataset, learner, gen)
-    return ensemble.prediction_matrix(X_test) + ensemble.loo_residuals[:, None]
+    return build_loo_ensemble(dataset, learner, gen).scores(X_test)
 
 
 def _run_studies(
@@ -182,11 +181,14 @@ def _run_studies(
             # fitting randomness is keyed by the learner label so learners stay independent
             fit_gen = labeled_generator(seed, rep, spec.label)
             scores = score_matrix(dataset, spec.learner, X_test, fit_gen)
+            lower, upper, _ = interval_from_scores(scores, alpha)
             for k, (_, (_, y_test)) in enumerate(draws):
-                for j in range(m):
-                    lower, upper, _ = interval_from_scores(scores[:, k * m + j], alpha)
-                    hits[k][s] += int(lower <= y_test[j] <= upper)
-                    width_total[k][s] += upper - lower
+                cols = slice(k * m, (k + 1) * m)
+                inside = (lower[cols] <= y_test) & (y_test <= upper[cols])
+                hits[k][s] += int(inside.sum())
+                # left to right: np.sum adds pairwise and could move the last bit
+                for width in (upper[cols] - lower[cols]).tolist():
+                    width_total[k][s] += width
     evaluations = reps * m
     return [
         MonteCarloReport(
@@ -369,7 +371,7 @@ def export_curves(
     fit_streams = gen.spawn(len(specs))
     for spec, sub in zip(specs, fit_streams):
         scores = score_matrix(dataset, spec.learner, point[None, :], sub)[:, 0]
-        grid = curve_grid(PredictiveResult(scores=scores, x_new=point), grid_points)
+        grid = curve_grid(PredictiveResult(scores), grid_points)
         rows.extend((spec.label, float(y), float(pv)) for y, pv in grid)
     mu_new = float(scenario.mean_response(point[None, :])[0])
     rows.extend(oracle_curve_rows(mu_new, float(np.sqrt(scenario.sigma2)), grid_points))

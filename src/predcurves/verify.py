@@ -12,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .closed_form import closed_form_scores
-from .conformal import Dataset, PredictiveResult, build_loo_ensemble, conformal_scores, curve_grid
+from .conformal import Dataset, PredictiveResult, build_loo_ensemble, curve_grid
 from .gaussian_toy import GaussianToySample, predictive_curve_toy
 from .learners import FeatureMap, OlsLearner, adversarial_learner
 from .linalg import least_squares
-from .mlp import MlpArchitecture, _init_params, mlp_gradient, mlp_loss
+from .mlp import MlpArchitecture, _forward, _gradients, _init_params, _sse
 from .rng import RngStream
 from .scenarios import LinearScenario
 from .studies import LearnerSpec, linear_learner_specs, run_coverage_study
@@ -38,12 +38,12 @@ def suite_oracle_equivalence(seed: int, instances: int = 20, tol: float = 1e-8):
         p = int(gen.integers(2, 5))
         X = np.hstack([np.ones((n, 1)), gen.standard_normal((n, p - 1))])
         y = gen.standard_normal(n)
-        x_new = np.concatenate([[1.0], gen.standard_normal(p - 1)])
-        closed = closed_form_scores(X, y, x_new[None, :]).scores[:, 0]
+        x_new = np.concatenate([[1.0], gen.standard_normal(p - 1)])[None, :]
+        closed = closed_form_scores(X, y, x_new).scores
         # n refits; the linear feature map rebuilds X's intercept column exactly
         learner = OlsLearner(FeatureMap("linear", p - 1))
-        refit = conformal_scores(build_loo_ensemble(Dataset(X[:, 1:], y), learner, gen), x_new[1:])
-        worst = max(worst, np.max(np.abs(closed - refit.scores)))
+        refit = build_loo_ensemble(Dataset(X[:, 1:], y), learner, gen).scores(x_new[:, 1:])
+        worst = max(worst, np.max(np.abs(closed - refit)))
     return worst < tol, f"max |closed-form - refit| = {worst:.2e}"
 
 
@@ -68,23 +68,25 @@ def suite_gradient_check(seed: int, instances: int = 30, tol: float = 1e-5):
     worst = 0.0
     checked = 0
     while checked < instances:
-        params = [W[0] for W in _init_params(arch, gen, 1)]
+        params = _init_params(arch, gen, 1)  # a batch of one network
         X = gen.standard_normal((5, 3))
         y = gen.standard_normal(5)
         # stay away from ReLU kinks where the derivative is not defined
-        pre1 = X @ params[0].T
-        pre2 = np.maximum(pre1, 0.0) @ params[1].T
+        pre1 = X @ params[0][0].T
+        pre2 = np.maximum(pre1, 0.0) @ params[1][0].T
         if min(np.min(np.abs(pre1)), np.min(np.abs(pre2))) < 1e-3:
             continue
         checked += 1
-        grads = mlp_gradient(params, X, y)
+        grads = _gradients(params, X, y, *_forward(params, X), None)
         for layer, grad in enumerate(grads):
             for idx in np.ndindex(grad.shape):
                 plus = [W.copy() for W in params]
                 minus = [W.copy() for W in params]
                 plus[layer][idx] += step
                 minus[layer][idx] -= step
-                fd = (mlp_loss(plus, X, y) - mlp_loss(minus, X, y)) / (2 * step)
+                loss_plus = _sse(_forward(plus, X)[1], y, None)[0]
+                loss_minus = _sse(_forward(minus, X)[1], y, None)[0]
+                fd = (loss_plus - loss_minus) / (2 * step)
                 denom = max(abs(fd), abs(grad[idx]), 1e-8)
                 worst = max(worst, abs(fd - grad[idx]) / denom)
     return worst < tol, f"max relative error = {worst:.2e} over {instances} instances"
@@ -108,7 +110,7 @@ def suite_toy_consistency(seed: int, n: int = 2000, theta: float = 0.5, tol: flo
     dataset = Dataset(np.zeros((n, 1)), y)
     learner = OlsLearner(FeatureMap("intercept", input_dim=1))
     ensemble = build_loo_ensemble(dataset, learner, gen)
-    result = conformal_scores(ensemble, np.zeros(1))
+    result = PredictiveResult(ensemble.scores(np.zeros((1, 1)))[:, 0])
     toy = GaussianToySample.from_data(y)
     grid = curve_grid(result, 200)
     sup = max(abs(pv - predictive_curve_toy(toy, yy)) for yy, pv in grid)

@@ -13,10 +13,10 @@ from scipy.special import ndtri
 
 from predcurves.closed_form import closed_form_scores, homeostasis_report, width_ordering_trial
 from predcurves.cli import main
-from predcurves.conformal import Dataset, build_loo_ensemble, conformal_scores, curve_grid
+from predcurves.conformal import Dataset, PredictiveResult, build_loo_ensemble, curve_grid
 from predcurves.gaussian_toy import GaussianToySample, confidence_cdf, predictive_curve_toy
 from predcurves.learners import FeatureMap, OlsLearner, adversarial_learner
-from predcurves.mlp import MlpArchitecture, _init_params, mlp_gradient, mlp_loss
+from predcurves.mlp import MlpArchitecture, _forward, _gradients, _init_params, _sse
 from predcurves.rng import RngStream
 from predcurves.scenarios import LinearScenario, gen_linear
 from predcurves.studies import (
@@ -47,12 +47,12 @@ def test_criterion_1_closed_form_oracle_equivalence():
         p = int(gen.integers(2, 6))
         X = np.hstack([np.ones((n, 1)), gen.standard_normal((n, p - 1))])
         y = gen.standard_normal(n)
-        x_new = np.concatenate([[1.0], gen.standard_normal(p - 1)])
-        closed = closed_form_scores(X, y, x_new[None, :]).scores[:, 0]
+        x_new = np.concatenate([[1.0], gen.standard_normal(p - 1)])[None, :]
+        closed = closed_form_scores(X, y, x_new).scores
         # n refits; the linear feature map rebuilds X's intercept column exactly
         learner = OlsLearner(FeatureMap("linear", input_dim=p - 1))
         ensemble = build_loo_ensemble(Dataset(X[:, 1:], y), learner, RngStream(0))
-        refit = conformal_scores(ensemble, x_new[1:]).scores
+        refit = ensemble.scores(x_new[:, 1:])
         worst = max(worst, np.max(np.abs(closed - refit)))
     elapsed = time.time() - start
     ok = worst < 1e-8 and elapsed < 10.0
@@ -263,22 +263,24 @@ def test_criterion_8_gradient_check():
     worst = 0.0
     checked = 0
     while checked < 100:
-        params = [W[0] for W in _init_params(arch, gen, 1)]
+        params = _init_params(arch, gen, 1)  # a batch of one network
         X = gen.standard_normal((5, 3))
         y = gen.standard_normal(5)
-        pre1 = X @ params[0].T
-        pre2 = np.maximum(pre1, 0.0) @ params[1].T
+        pre1 = X @ params[0][0].T
+        pre2 = np.maximum(pre1, 0.0) @ params[1][0].T
         if min(np.min(np.abs(pre1)), np.min(np.abs(pre2))) < 1e-3:
             continue  # too close to a ReLU kink for finite differences
         checked += 1
-        grads = mlp_gradient(params, X, y)
+        grads = _gradients(params, X, y, *_forward(params, X), None)
         for layer, grad in enumerate(grads):
             for idx in np.ndindex(grad.shape):
                 plus = [W.copy() for W in params]
                 minus = [W.copy() for W in params]
                 plus[layer][idx] += step
                 minus[layer][idx] -= step
-                fd = (mlp_loss(plus, X, y) - mlp_loss(minus, X, y)) / (2 * step)
+                loss_plus = _sse(_forward(plus, X)[1], y, None)[0]
+                loss_minus = _sse(_forward(minus, X)[1], y, None)[0]
+                fd = (loss_plus - loss_minus) / (2 * step)
                 denom = max(abs(fd), abs(grad[idx]), 1e-8)
                 worst = max(worst, abs(fd - grad[idx]) / denom)
     elapsed = time.time() - start
@@ -306,7 +308,7 @@ def test_criterion_9_gaussian_toy():
     ensemble = build_loo_ensemble(
         dataset, OlsLearner(FeatureMap("intercept", input_dim=1)), gen
     )
-    result = conformal_scores(ensemble, np.zeros(1))
+    result = PredictiveResult(ensemble.scores(np.zeros((1, 1)))[:, 0])
     toy = GaussianToySample.from_data(y)
     grid = curve_grid(result, 300)
     sup = max(abs(pv - predictive_curve_toy(toy, yy)) for yy, pv in grid)

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from predcurves.closed_form import (
-    closed_form_scores,
-    homeostasis_report,
-    interval_width,
-    width_ordering_trial,
-)
-from predcurves.conformal import Dataset, build_loo_ensemble, conformal_scores, interval_from_scores
+from predcurves.closed_form import closed_form_scores, homeostasis_report, width_ordering_trial
+from predcurves.conformal import Dataset, build_loo_ensemble, interval_from_scores
 from predcurves.learners import FeatureMap, OlsLearner
 from predcurves.linalg import least_squares
 from predcurves.rng import RngStream
@@ -33,8 +28,7 @@ class TestClosedFormScores:
         X_new = np.column_stack([np.ones(3), gen.standard_normal((3, 2))])
         result = closed_form_scores(X, y, X_new)
         ensemble = refit_ensemble(X, y)
-        refit = ensemble.prediction_matrix(X_new[:, 1:]) + ensemble.loo_residuals[:, None]
-        np.testing.assert_allclose(result.scores, refit, atol=1e-8)
+        np.testing.assert_allclose(result.scores, ensemble.scores(X_new[:, 1:]), atol=1e-8)
 
     def test_deleted_residuals_match_refit_predictions(self):
         gen = RngStream(100, 1).generator()
@@ -54,7 +48,8 @@ class TestClosedFormScores:
         result = closed_form_scores(X, y, x_new[None, :])
         np.testing.assert_allclose(result.deleted_residuals, 0.0, atol=1e-10)
         np.testing.assert_allclose(result.scores, x_new @ beta, atol=1e-10)
-        assert interval_width(result.scores[:, 0], 0.05) == pytest.approx(0.0, abs=1e-10)
+        lower, upper, _ = interval_from_scores(result.scores[:, 0], 0.05)
+        assert upper - lower == pytest.approx(0.0, abs=1e-10)
 
     def test_cross_leverage_at_training_point(self):
         gen = RngStream(100, 3).generator()
@@ -70,15 +65,14 @@ class TestClosedFormScores:
         gen = RngStream(100, 4).generator()
         X_raw = gen.standard_normal((25, 2))
         y = gen.standard_normal(25)
-        x_raw = gen.standard_normal(2)
+        x_raw = gen.standard_normal((1, 2))
         for kind in ("linear", "first-only", "first-squared", "intercept"):
             fmap = FeatureMap(kind, input_dim=2)
             learner = OlsLearner(fmap)
-            ensemble = build_loo_ensemble(Dataset(X_raw, y), learner, gen)
-            engine = conformal_scores(ensemble, x_raw).scores
+            engine = build_loo_ensemble(Dataset(X_raw, y), learner, gen).scores(x_raw)
             closed = closed_form_scores(
-                fmap.expand_matrix(X_raw), y, fmap.expand_matrix(x_raw[None, :])
-            ).scores[:, 0]
+                fmap.expand_matrix(X_raw), y, fmap.expand_matrix(x_raw)
+            ).scores
             np.testing.assert_allclose(closed, engine, atol=1e-8)
 
 
@@ -100,13 +94,10 @@ class TestSubmodelScores:
         gen = RngStream(101, 2).generator()
         X_raw = gen.standard_normal((25, 2))
         y = gen.standard_normal(25)
-        x_raw = gen.standard_normal(2)
+        x_raw = gen.standard_normal((1, 2))
         fmap = FeatureMap("first-only", input_dim=2)
-        ensemble = build_loo_ensemble(Dataset(X_raw, y), OlsLearner(fmap), gen)
-        engine = conformal_scores(ensemble, x_raw).scores
-        closed = closed_form_scores(
-            fmap.expand_matrix(X_raw), y, fmap.expand_matrix(x_raw[None, :])
-        ).scores[:, 0]
+        engine = build_loo_ensemble(Dataset(X_raw, y), OlsLearner(fmap), gen).scores(x_raw)
+        closed = closed_form_scores(fmap.expand_matrix(X_raw), y, fmap.expand_matrix(x_raw)).scores
         np.testing.assert_allclose(closed, engine, atol=1e-8)
 
 

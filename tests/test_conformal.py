@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from predcurves.conformal import (
     Dataset,
     PredictiveResult,
     build_loo_ensemble,
-    conformal_scores,
     curve_grid,
     interval_from_scores,
     median_point_prediction,
@@ -24,7 +25,7 @@ def _toy_dataset(y):
 
 
 def _result(scores):
-    return PredictiveResult(scores=np.asarray(scores, dtype=float), x_new=np.zeros(1))
+    return PredictiveResult(scores=np.asarray(scores, dtype=float))
 
 
 class TestDataset:
@@ -56,7 +57,7 @@ class TestLooEnsemble:
     def test_scores_equal_responses_for_mean_learner(self):
         ds = _toy_dataset([1.0, 2.0, 3.0])
         ens = build_loo_ensemble(ds, MEAN_LEARNER, RngStream(0))
-        result = conformal_scores(ens, np.zeros(1))
+        result = _result(ens.scores(np.zeros((1, 1)))[:, 0])
         np.testing.assert_allclose(np.sort(result.scores), [1.0, 2.0, 3.0], atol=1e-12)
         assert median_point_prediction(result) == pytest.approx(2.0)
 
@@ -64,8 +65,22 @@ class TestLooEnsemble:
         gen = RngStream(5).generator()
         ds = Dataset(gen.standard_normal((12, 2)), gen.standard_normal(12))
         ens = build_loo_ensemble(ds, zero_learner(), gen)
-        result = conformal_scores(ens, gen.standard_normal(2))
-        np.testing.assert_allclose(np.sort(result.scores), np.sort(ds.y), atol=1e-12)
+        scores = ens.scores(gen.standard_normal((1, 2)))[:, 0]
+        np.testing.assert_allclose(np.sort(scores), np.sort(ds.y), atol=1e-12)
+
+    def test_scores_equal_refits_column_by_column(self):
+        gen = RngStream(21).generator()
+        ds = Dataset(gen.standard_normal((15, 2)), gen.standard_normal(15))
+        learner = OlsLearner(FeatureMap("linear", input_dim=2))
+        X_new = gen.standard_normal((4, 2))
+        scores = build_loo_ensemble(ds, learner, gen).scores(X_new)
+        assert scores.shape == (15, 4)
+        for i in range(ds.n):
+            model = learner.fit(ds.drop_row(i))
+            residual = ds.y[i] - model.predict(ds.X[i : i + 1])[0]
+            for j in range(4):
+                refit = model.predict(X_new[j : j + 1])[0] + residual
+                assert scores[i, j] == pytest.approx(refit, abs=1e-12)
 
     def test_duplicated_rows_fine(self):
         X = np.array([[1.0], [1.0], [2.0], [2.0]])
@@ -87,15 +102,13 @@ class TestLooEnsemble:
         X = gen.standard_normal((20, 2))
         y = gen.standard_normal(20)
         learner = OlsLearner(FeatureMap("linear", input_dim=2))
-        x_new = gen.standard_normal(2)
-        base = conformal_scores(build_loo_ensemble(Dataset(X, y), learner, gen), x_new)
-        shifted = conformal_scores(
-            build_loo_ensemble(Dataset(X, y + 5.5), learner, gen), x_new
-        )
-        np.testing.assert_allclose(shifted.scores, base.scores + 5.5, atol=1e-10)
+        x_new = gen.standard_normal((1, 2))
+        base = build_loo_ensemble(Dataset(X, y), learner, gen).scores(x_new)[:, 0]
+        shifted = build_loo_ensemble(Dataset(X, y + 5.5), learner, gen).scores(x_new)[:, 0]
+        np.testing.assert_allclose(shifted, base + 5.5, atol=1e-10)
         for alpha in (0.1, 0.3):
-            b_lower, b_upper, _ = interval_from_scores(base.scores, alpha)
-            s_lower, s_upper, _ = interval_from_scores(shifted.scores, alpha)
+            b_lower, b_upper, _ = interval_from_scores(base, alpha)
+            s_lower, s_upper, _ = interval_from_scores(shifted, alpha)
             assert s_lower == pytest.approx(b_lower + 5.5, abs=1e-10)
             assert s_upper == pytest.approx(b_upper + 5.5, abs=1e-10)
 
@@ -183,6 +196,28 @@ class TestPredictiveInterval:
             level_set = grid[grid[:, 1] >= alpha]
             assert level_set[:, 0].min() >= lower - 1e-9
             assert level_set[:, 0].max() <= upper + 1e-9
+
+
+class TestMatrixInterval:
+    @pytest.mark.parametrize(
+        "n, m, alpha", [(40, 7, 0.1), (10, 5, 0.1), (12, 0, 0.05)], ids=["plain", "clamped", "m=0"]
+    )
+    def test_matrix_call_equals_column_calls(self, n, m, alpha):
+        scores = np.round(np.random.default_rng(n + m).standard_normal((n, m)), 1)
+        lower, upper, clamped = interval_from_scores(scores, alpha)
+        assert lower.shape == upper.shape == (m,)
+        assert clamped == (n * alpha / 2.0 < 1.0)
+        for j in range(m):
+            assert np.unique(scores[:, j]).size < n  # rounded: ties in every column
+            assert (lower[j], upper[j], clamped) == interval_from_scores(scores[:, j], alpha)
+
+    @pytest.mark.parametrize("n, expected", [(1, 2), (3, 1), (40, 0)])
+    def test_each_call_warns_at_most_twice(self, n, expected):
+        # at alpha = 0.5 the lower level clamps below n = 4 and the upper one at n = 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            interval_from_scores(np.zeros((n, 50)), 0.5)
+        assert len(caught) == expected
 
 
 class TestMedianPointPrediction:

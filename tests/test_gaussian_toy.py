@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 from scipy.special import ndtri
 
-from predcurves.conformal import Dataset, build_loo_ensemble, conformal_scores, curve_grid
+from predcurves.conformal import Dataset, PredictiveResult, build_loo_ensemble, curve_grid
 from predcurves.gaussian_toy import (
     GaussianToySample,
     confidence_cdf,
@@ -107,7 +107,7 @@ class TestConformalConsistency:
         dataset = Dataset(np.zeros((n, 1)), y)
         learner = OlsLearner(FeatureMap("intercept", input_dim=1))
         ensemble = build_loo_ensemble(dataset, learner, gen)
-        result = conformal_scores(ensemble, np.zeros(1))
+        result = PredictiveResult(ensemble.scores(np.zeros((1, 1)))[:, 0])
         toy = GaussianToySample.from_data(y)
         grid = curve_grid(result, 300)
         sup = max(abs(pv - predictive_curve_toy(toy, yy)) for yy, pv in grid)

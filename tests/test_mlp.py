@@ -15,9 +15,6 @@ from predcurves.mlp import (
     _init_params,
     _sse,
     canonicalize_mlp,
-    mlp_forward,
-    mlp_gradient,
-    mlp_loss,
     train_batched,
 )
 from predcurves.rng import RngStream
@@ -26,24 +23,30 @@ from predcurves.scenarios import NnScenario, gen_nn
 TRUE_PARAMS = [np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([[1.0, -1.0]])]
 
 
-def _random_params(gen, arch=MlpArchitecture((3, 2, 1))):
-    return [W[0] for W in _init_params(arch, gen, 1)]
+def _output(params, x):
+    """Output of the single network ``params`` at one covariate vector."""
+    return MlpModel(params).predict(x)[0]
+
+
+def _loss(params, X, y):
+    """Total squared error of each network in the batch ``params``."""
+    return _sse(_forward(params, X)[1], y, None)
 
 
 class TestForward:
     def test_true_network_positive_branch(self):
-        assert mlp_forward(TRUE_PARAMS, np.array([1.0, 1.0, 0.0])) == pytest.approx(2.0)
+        assert _output(TRUE_PARAMS, np.array([1.0, 1.0, 0.0])) == pytest.approx(2.0)
 
     def test_true_network_clipped(self):
-        assert mlp_forward(TRUE_PARAMS, np.array([-1.0, -1.0, 5.0])) == 0.0
+        assert _output(TRUE_PARAMS, np.array([-1.0, -1.0, 5.0])) == 0.0
 
     def test_zero_params(self):
         zero = [np.zeros((2, 3)), np.zeros((1, 2))]
-        assert mlp_forward(zero, np.array([4.0, -3.0, 1.0])) == 0.0
+        assert _output(zero, np.array([4.0, -3.0, 1.0])) == 0.0
 
     def test_output_relu_clips_negative(self):
         params = [np.array([[1.0]]), np.array([[-1.0]])]
-        assert mlp_forward(params, np.array([2.0])) == 0.0
+        assert _output(params, np.array([2.0])) == 0.0
 
     def test_architecture_validation(self):
         with pytest.raises(ValueError):
@@ -54,10 +57,10 @@ class TestForward:
 
 class TestGradient:
     def test_all_negative_preactivations_zero_gradient(self):
-        params = [np.array([[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]), np.array([[1.0, 1.0]])]
+        params = [np.array([[[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]]), np.array([[[1.0, 1.0]]])]
         X = np.ones((4, 3))  # preactivations all negative, output locked at 0
         y = np.ones(4)
-        grads = mlp_gradient(params, X, y)
+        grads = _gradients(params, X, y, *_forward(params, X), None)
         for g in grads:
             np.testing.assert_array_equal(g, 0.0)
 
@@ -66,22 +69,22 @@ class TestGradient:
         step = 1e-5
         checked = 0
         while checked < 10:
-            params = _random_params(gen)
+            params = _init_params(MlpArchitecture((3, 2, 1)), gen, 1)
             X = gen.standard_normal((5, 3))
             y = gen.standard_normal(5)
-            pre1 = X @ params[0].T
-            pre2 = np.maximum(pre1, 0.0) @ params[1].T
+            pre1 = X @ params[0][0].T
+            pre2 = np.maximum(pre1, 0.0) @ params[1][0].T
             if min(np.min(np.abs(pre1)), np.min(np.abs(pre2))) < 1e-3:
                 continue
             checked += 1
-            grads = mlp_gradient(params, X, y)
+            grads = _gradients(params, X, y, *_forward(params, X), None)
             for layer, grad in enumerate(grads):
                 for idx in np.ndindex(grad.shape):
                     plus = [W.copy() for W in params]
                     minus = [W.copy() for W in params]
                     plus[layer][idx] += step
                     minus[layer][idx] -= step
-                    fd = (mlp_loss(plus, X, y) - mlp_loss(minus, X, y)) / (2 * step)
+                    fd = (_loss(plus, X, y)[0] - _loss(minus, X, y)[0]) / (2 * step)
                     denom = max(abs(fd), abs(grad[idx]), 1e-8)
                     assert abs(fd - grad[idx]) / denom < 1e-5
 
@@ -90,9 +93,9 @@ class TestGradient:
         X = np.abs(gen.standard_normal((8, 3))) + 0.1
         w = np.abs(gen.standard_normal((1, 3))) + 0.1  # positive row keeps preactivations > 0
         y = gen.standard_normal(8)
-        grads = mlp_gradient([w], X, y)
+        grads = _gradients([w[None]], X, y, *_forward([w[None]], X), None)
         oracle = 2.0 * (X.T @ (X @ w[0] - y))
-        np.testing.assert_allclose(grads[0][0], oracle, atol=1e-10)
+        np.testing.assert_allclose(grads[0][0, 0], oracle, atol=1e-10)
 
 
     def test_batched_masked_deep_stack_matches_finite_differences(self):
@@ -107,12 +110,14 @@ class TestGradient:
             params = _init_params(arch, gen, 3)
             X = gen.standard_normal((6, 3))
             y = gen.standard_normal(6)
-            preacts, out = _forward(params, X)
+            acts, out = _forward(params, X)
+            # preactivations of every layer: the activation below times the weights
+            preacts = [a @ W.swapaxes(-1, -2) for a, W in zip([X, *acts[:-1]], params)]
             # away from ReLU kinks, and every network live on some kept row
             if min(np.min(np.abs(z)) for z in preacts) < 1e-3 or np.any((out * masks).max(axis=1) == 0):
                 continue
             checked += 1
-            grads = _gradients(params, X, y, preacts, out, masks)
+            grads = _gradients(params, X, y, acts, out, masks)
             for layer, grad in enumerate(grads):
                 for idx in np.ndindex(grad.shape):
                     plus = [W.copy() for W in params]
@@ -163,9 +168,7 @@ class TestCanonicalize:
         canon = canonicalize_mlp(params)
         for _ in range(10):
             x = gen.standard_normal(3)
-            assert mlp_forward(params, x) == pytest.approx(
-                mlp_forward(canon, x), abs=1e-10
-            )
+            assert _output(params, x) == pytest.approx(_output(canon, x), abs=1e-10)
 
 
 class TestTrainer:
@@ -195,9 +198,7 @@ class TestTrainer:
         config = TrainerConfig(restarts=6, max_iterations=300)
         init_gen = RngStream(8, 1).generator()
         init = _init_params(scenario.architecture, init_gen, 6)
-        init_losses = np.array(
-            [mlp_loss([W[b] for W in init], dataset.X, dataset.y) for b in range(6)]
-        )
+        init_losses = _loss(init, dataset.X, dataset.y)
         _, _, restart_losses = train_batched(
             scenario.architecture, config, dataset.X, dataset.y, RngStream(8, 1).generator()
         )
@@ -273,9 +274,9 @@ class TestTrainer:
         step = np.full(20, config.initial_step)
         live = np.ones(20, dtype=bool)
         for _ in range(config.max_iterations):
-            preacts, out = _forward(params, ds.X)
+            acts, out = _forward(params, ds.X)
             loss = _sse(out, ds.y, masks)
-            grads = _gradients(params, ds.X, ds.y, preacts, out, masks)
+            grads = _gradients(params, ds.X, ds.y, acts, out, masks)
             gmax = np.max([np.abs(g).reshape(20, -1).max(axis=1) for g in grads], axis=0)
             live &= ~((gmax < config.gradient_tolerance) | (step < 1e-15))
             velocity = [config.momentum * V - step[:, None, None] * g for V, g in zip(velocity, grads)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from predcurves.mlp import mlp_forward
+from predcurves.mlp import MlpModel
 from predcurves.rng import RngStream
 from predcurves.scenarios import LinearScenario, NnScenario, ar_covariance, gen_linear, gen_nn
 
@@ -65,18 +65,19 @@ class TestNnScenario:
 
         gen = RngStream(301, 0).generator()
         X = 3.0 * gen.standard_normal((200, 3))
+        net = MlpModel(params)
         for x in X:
-            assert mlp_forward(params, x) == pytest.approx(reference(x), abs=1e-12)
+            assert net.predict(x)[0] == pytest.approx(reference(x), abs=1e-12)
         # the batched mean response gives the per-row network values bit for bit
-        np.testing.assert_array_equal(sc.mean_response(X), [mlp_forward(params, x) for x in X])
+        np.testing.assert_array_equal(sc.mean_response(X), [net.predict(x)[0] for x in X])
 
     def test_equivalent_params_same_function(self):
         sc = NnScenario()
-        first, second = sc.equivalent_true_params()
+        first, second = (MlpModel(p) for p in sc.equivalent_true_params())
         gen = RngStream(301, 1).generator()
         for _ in range(300):
             x = 4.0 * gen.standard_normal(3)
-            assert mlp_forward(first, x) == pytest.approx(mlp_forward(second, x), abs=1e-10)
+            assert first.predict(x)[0] == pytest.approx(second.predict(x)[0], abs=1e-10)
 
     def test_mean_response_at_known_points(self):
         sc = NnScenario()

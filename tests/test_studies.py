@@ -55,11 +55,11 @@ class TestScoreMatrix:
         learner = OlsLearner(FeatureMap("linear", input_dim=2))
         fast = score_matrix(dataset, learner, X_test, gen)
 
-        from predcurves.conformal import Dataset, build_loo_ensemble, conformal_scores
+        from predcurves.conformal import build_loo_ensemble
 
         ensemble = build_loo_ensemble(dataset, learner, gen)
         for j in range(4):
-            engine = conformal_scores(ensemble, X_test[j]).scores
+            engine = ensemble.scores(X_test[j : j + 1])[:, 0]
             np.testing.assert_allclose(fast[:, j], engine, atol=1e-8)
 
     @SCORING_PATHS
