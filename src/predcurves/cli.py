@@ -10,17 +10,19 @@ Commands::
     verify      run the built-in verification suites
 
 Every data-producing command requires ``--seed``; outputs are then byte
-deterministic. Flags override values from an optional ``--config`` file
-(flat ``key=value`` lines, ``#`` comments), which override the documented
-defaults. Exit codes: 0 success, 1 verification or write failure, 2 usage
-error or an input the method cannot handle (any ``ValueError``).
+deterministic. Each command accepts only the flags it reads
+(``COMMAND_FLAGS``). Flags override values from an optional ``--config``
+file (flat ``key=value`` lines, ``#`` comments, keys named and typed as
+the command's flags), which override the ``RunConfig`` defaults. Exit
+codes: 0 success, 1 verification or write failure, 2 usage error or an
+input the method cannot handle (any ``ValueError``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,22 +44,34 @@ from .verify import run_verify
 TABLE_COMMANDS = ("table1", "table2", "table3")
 CURVE_COMMANDS = ("curves", "toy-curves")
 
-_CONFIG_KEYS = {
-    "seed": int,
-    "out": str,
-    "format": str,
-    "scale": str,
-    "alpha": float,
-    "n-train": int,
-    "reps": int,
-    "depth": int,
-    "restarts": int,
-    "scenario": str,
-    "x-new": str,
-    "grid-points": int,
-    "n": int,
-    "theta": float,
-    "cov-shift-scale": float,
+_FLAG_KINDS = {
+    "seed": {"type": int},
+    "out": {"type": str},
+    "format": {"choices": ("csv", "json")},
+    "scale": {"choices": ("desk", "paper")},
+    "alpha": {"type": float},
+    "n-train": {"type": int},
+    "reps": {"type": int},
+    "depth": {"type": int},
+    "restarts": {"type": int},
+    "cov-shift-scale": {"type": float},
+    "scenario": {"choices": ("linear", "nn")},
+    "x-new": {"type": str},
+    "grid-points": {"type": int},
+    "n": {"type": int},
+    "theta": {"type": float},
+}
+
+# The flags each command's runner reads; each is also a config-file key.
+COMMAND_FLAGS = {
+    "table1": ("seed", "out", "format", "scale", "alpha", "n-train", "reps", "cov-shift-scale"),
+    "table2": ("seed", "out", "format", "scale", "n-train", "reps", "restarts"),
+    "table3": ("seed", "out", "format", "scale", "alpha", "n-train", "reps", "depth", "restarts"),
+    "curves": (
+        "seed", "out", "scale", "n-train", "depth", "restarts", "scenario", "x-new", "grid-points",
+    ),
+    "toy-curves": ("seed", "out", "grid-points", "n", "theta"),
+    "verify": ("seed",),
 }
 
 _X_NEW_MODES = ("sample-mean", "iid-draw", "non-iid-draw")
@@ -92,35 +106,20 @@ class RunConfig:
     cov_shift_scale: float = 0.5
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="predcurves")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in (*TABLE_COMMANDS, *CURVE_COMMANDS, "verify"):
-        p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=None)
+    commands = {}
+    for name, flags in COMMAND_FLAGS.items():
+        p = commands[name] = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--scale", choices=("desk", "paper"), default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--n-train", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--restarts", type=int, default=None)
-        if name == "table1":
-            p.add_argument("--cov-shift-scale", type=float, default=None)
-        if name == "curves":
-            p.add_argument("--scenario", choices=("linear", "nn"), default=None)
-            p.add_argument("--x-new", type=str, default=None)
-            p.add_argument("--grid-points", type=int, default=None)
-        if name == "toy-curves":
-            p.add_argument("--grid-points", type=int, default=None)
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--theta", type=float, default=None)
-    return parser
+        for flag in flags:
+            p.add_argument(f"--{flag}", default=None, **_FLAG_KINDS[flag])
+    return parser, commands
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str, parser: _Parser) -> dict:
+    """Config-file values by ``RunConfig`` field, parsed by the command's own subparser."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -135,45 +134,29 @@ def _read_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in COMMAND_FLAGS[command]:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r} for {command}")
+        field_name = key.replace("-", "_")
         try:
-            values[key] = _CONFIG_KEYS[key](value)
-        except ValueError:
+            values[field_name] = getattr(parser.parse_args([f"--{key}={value.strip()}"]), field_name)
+        except UsageError:
             raise UsageError(f"{path}:{lineno}: malformed value for {key!r}")
     return values
 
 
 def parse_config(argv: list[str]) -> RunConfig:
-    """Merge flags over config-file values over per-command defaults."""
-    args = _build_parser().parse_args(argv)
-    file_values = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag_name: str, file_key: str, default):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        if file_key in file_values:
-            return file_values[file_key]
-        return default
-
-    cfg = RunConfig(command=args.command)
-    cfg.seed = pick("seed", "seed", None)
-    cfg.out = pick("out", "out", None)
-    cfg.format = pick("format", "format", "csv")
-    cfg.scale = pick("scale", "scale", "desk" if args.command == "table3" else "paper")
-    cfg.alpha = pick("alpha", "alpha", 0.05)
-    cfg.n_train = pick("n_train", "n-train", None)
-    cfg.reps = pick("reps", "reps", None)
-    cfg.depth = pick("depth", "depth", None)
-    cfg.restarts = pick("restarts", "restarts", None)
-    cfg.scenario = pick("scenario", "scenario", "linear")
-    cfg.x_new = pick("x_new", "x-new", "sample-mean")
-    cfg.grid_points = pick("grid_points", "grid-points", 400)
-    cfg.n = pick("n", "n", 5)
-    cfg.theta = pick("theta", "theta", 1.35)
-    cfg.cov_shift_scale = pick("cov_shift_scale", "cov-shift-scale", 0.5)
+    """Merge flags over config-file values over the ``RunConfig`` defaults."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    values = {}
+    if args.config:
+        values = _read_config_file(args.config, args.command, commands[args.command])
+    for f in fields(RunConfig):
+        if getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
+    cfg = RunConfig(**values)
+    if cfg.scale is None and cfg.command in TABLE_COMMANDS:
+        cfg.scale = "desk" if cfg.command == "table3" else "paper"
 
     if cfg.command in TABLE_COMMANDS + CURVE_COMMANDS and cfg.seed is None:
         raise UsageError(f"{cfg.command} requires --seed")
@@ -250,6 +233,8 @@ def _run_table3(cfg: RunConfig) -> str:
 def _run_curves(cfg: RunConfig) -> str:
     x_new = _parse_x_new(cfg.x_new) if isinstance(cfg.x_new, str) else cfg.x_new
     if cfg.scenario == "linear":
+        if (cfg.scale, cfg.depth, cfg.restarts) != (None, None, None):
+            raise UsageError("--scale, --depth and --restarts apply to --scenario nn only")
         scenario = LinearScenario()
         specs = linear_learner_specs()
         n_train = cfg.n_train or 300
@@ -257,7 +242,7 @@ def _run_curves(cfg: RunConfig) -> str:
         scenario = NnScenario()
         depth = cfg.depth or 5
         specs = nn_learner_specs((depth, depth), _opt_config(cfg.restarts), SINGLE_RESTART)
-        n_train = cfg.n_train or (300 if cfg.scale == "paper" else 100)
+        n_train = cfg.n_train or (100 if cfg.scale == "desk" else 300)
     rows = export_curves(
         scenario, specs, x_new=x_new, grid_points=cfg.grid_points, seed=cfg.seed, n_train=n_train
     )

@@ -128,6 +128,37 @@ class TestParseConfig:
             parse_config(["table1", "--seed", "1", "--config", str(path)])
 
 
+class TestFlagsTheCommandDoesNotRead:
+    def test_curves_rejects_format(self, capsys):
+        assert main(["curves", "--seed", "1", "--format", "json"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_verify_rejects_out(self, tmp_path, capsys):
+        path = tmp_path / "verify.txt"
+        assert main(["verify", "--seed", "0", "--out", str(path)]) == 2
+        assert not path.exists()
+
+    def test_config_keys_are_the_command_flags(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("cov-shift-scale=1.0\ndepth=7\n")
+        assert main(["curves", "--seed", "8", "--scenario", "linear", "--config", str(path)]) == 2
+        assert "unknown key 'cov-shift-scale' for curves" in capsys.readouterr().err
+        path.write_text("n=7\ntheta=0.5\n")
+        cfg = parse_config(["toy-curves", "--seed", "1", "--config", str(path)])
+        assert (cfg.n, cfg.theta) == (7, 0.5)
+        with pytest.raises(UsageError, match="unknown key 'n' for table1"):
+            parse_config(["table1", "--seed", "1", "--config", str(path)])
+        path.write_text("scenario=quadratic\n")
+        with pytest.raises(UsageError, match="malformed value for 'scenario'"):
+            parse_config(["curves", "--seed", "1", "--config", str(path)])
+
+    @pytest.mark.parametrize("flag", ["--depth", "--restarts", "--scale"])
+    def test_linear_curves_reject_network_flags(self, flag, capsys):
+        value = "paper" if flag == "--scale" else "7"
+        assert main(["curves", "--seed", "8", "--scenario", "linear", flag, value]) == 2
+        assert "apply to --scenario nn only" in capsys.readouterr().err
+
+
 class TestMainExitCodes:
     def test_usage_error_exits_2(self, capsys):
         assert main(["table1"]) == 2
