@@ -156,7 +156,9 @@ def predictive_curve(result: PredictiveResult, y):
     return 2.0 * np.minimum(q, 1.0 - q)
 
 
-def interval_from_scores(scores: np.ndarray, alpha: float):
+def interval_from_scores(
+    scores: np.ndarray, alpha: float
+) -> tuple[float | np.ndarray, float | np.ndarray, bool]:
     """Two-sided intervals ``(lower, upper, clamped)`` from the score order statistics.
 
     ``scores`` is (n,) for one test point or (n, m) with one column per
