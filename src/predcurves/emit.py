@@ -3,22 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .studies import MonteCarloReport, ParamMseTable
 
-RESULTS_FIELDS = (
-    "scenario",
-    "learner",
-    "estimator",
-    "alpha",
-    "n_train",
-    "reps",
-    "test_points",
-    "coverage",
-    "avg_width",
-    "seed",
-)
+RESULTS_FIELDS = tuple(f.name for f in fields(MonteCarloReport))
 _FLOAT_FIELDS = {"alpha", "coverage", "avg_width"}
 
 CURVES_FIELDS = ("learner", "y", "pv")
@@ -44,7 +33,7 @@ def format_results_csv(rows: list[MonteCarloReport]) -> str:
 
 
 def format_results_json(rows: list[MonteCarloReport]) -> str:
-    payload = [{f: asdict(row)[f] for f in RESULTS_FIELDS} for row in rows]
+    payload = [asdict(row) for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -31,9 +31,9 @@ import numpy as np
 from .conformal import Dataset
 from .rng import RngStream, as_generator
 
-MlpParams = list  # list of weight matrices, layer l has shape (width_out, width_in)
-
 _MIN_STEP = 1e-15
+_MOMENTUM = 0.9
+_GRADIENT_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,6 @@ class TrainerConfig:
     restarts: int = 20
     max_iterations: int = 5000
     initial_step: float = 1e-2
-    momentum: float = 0.9
-    gradient_tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -203,7 +201,7 @@ def train_batched(
         gmax = np.zeros(alive.size)
         for g in grads:
             gmax = np.maximum(gmax, np.abs(g).reshape(alive.size, -1).max(axis=1))
-        done = (gmax < config.gradient_tolerance) | (step < _MIN_STEP)
+        done = (gmax < _GRADIENT_TOLERANCE) | (step < _MIN_STEP)
         if done.any():
             retire(done)
             if alive.size == 0:
@@ -213,7 +211,7 @@ def train_batched(
 
         scale = step[:, None, None]
         for V, g in zip(velocity, grads):
-            V *= config.momentum
+            V *= _MOMENTUM
             V -= scale * g
         cand = [W + V for W, V in zip(params, velocity)]
         cand_acts, cand_out = _forward(cand, X)
@@ -241,7 +239,7 @@ def train_batched(
     return best_params, final_loss[sel], restart_losses
 
 
-def canonicalize_mlp(params: MlpParams, reference: MlpParams | None = None) -> MlpParams:
+def canonicalize_mlp(params: list, reference: list | None = None) -> list:
     """Resolve the ReLU symmetries of a single-hidden-layer network.
 
     Positive homogeneity (``f(c t) = c f(t)`` for ``c > 0``) lets each
@@ -283,7 +281,7 @@ def canonicalize_mlp(params: MlpParams, reference: MlpParams | None = None) -> M
 class MlpModel:
     """Fitted network; optionally reads only a subset of the covariates."""
 
-    def __init__(self, params: MlpParams, input_indices: tuple[int, ...] | None = None):
+    def __init__(self, params: list, input_indices: tuple[int, ...] | None = None):
         self.params = [np.asarray(W, dtype=float) for W in params]
         self.input_indices = input_indices
 

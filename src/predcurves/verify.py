@@ -1,10 +1,13 @@
-"""Self-check suites wired to the command line ``verify`` command.
+"""Independent-route checks, and the command line ``verify`` suites built on them.
 
-Each suite re-derives a core guarantee from an independent direction:
-closed-form scores against brute-force refits, coverage against the
-distribution-free floor, backprop against finite differences, hat-value
-identities, and the conformal curve against the analytic Gaussian one.
-All suites are seeded and finish quickly at their default sizes.
+Each check re-derives a core guarantee from an independent direction and
+returns the number it measures: closed-form scores against brute-force
+refits (``refit_gap``), coverage against the distribution-free floor
+(``umbrella_coverages``, ``coverage_floor``), backprop against finite
+differences (``gradient_error``), and the conformal curve against the
+analytic Gaussian one (``toy_gap``). The ``verify`` suites and the test
+suite call these same functions, each at its own streams and sizes, so
+they cannot drift apart. All suites are seeded and finish quickly.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .closed_form import closed_form_scores
-from .conformal import Dataset, PredictiveResult, build_loo_ensemble, curve_grid
+from .conformal import Dataset, LooEnsemble, PredictiveResult, build_loo_ensemble, curve_grid
 from .gaussian_toy import GaussianToySample, predictive_curve_toy
 from .learners import FeatureMap, OlsLearner, adversarial_learner
 from .linalg import least_squares
@@ -21,57 +24,58 @@ from .rng import RngStream
 from .scenarios import LinearScenario
 from .studies import LearnerSpec, linear_learner_specs, run_coverage_study
 
-SUITE_ORDER = (
-    "oracle-equivalence",
-    "prop1-umbrella",
-    "gradient-check",
-    "hat-trace",
-    "toy-consistency",
-)
+UMBRELLA_ALPHA = 0.10
 
 
-def suite_oracle_equivalence(seed: int, instances: int = 20, tol: float = 1e-8):
-    gen = RngStream(seed, 0).generator()
-    worst = 0.0
-    for _ in range(instances):
-        n = int(gen.integers(10, 31))
-        p = int(gen.integers(2, 5))
-        X = np.hstack([np.ones((n, 1)), gen.standard_normal((n, p - 1))])
-        y = gen.standard_normal(n)
-        x_new = np.concatenate([[1.0], gen.standard_normal(p - 1)])[None, :]
-        closed = closed_form_scores(X, y, x_new).scores
-        # n refits; the linear feature map rebuilds X's intercept column exactly
-        learner = OlsLearner(FeatureMap("linear", p - 1))
-        refit = build_loo_ensemble(Dataset(X[:, 1:], y), learner, gen).scores(x_new[:, 1:])
-        worst = max(worst, np.max(np.abs(closed - refit)))
-    return worst < tol, f"max |closed-form - refit| = {worst:.2e}"
+def refit_ensemble(X: np.ndarray, y: np.ndarray) -> LooEnsemble:
+    """n least-squares refits, each with one row left out; least squares draws no randomness.
+
+    ``X`` starts with an intercept column, which the ``linear`` feature map
+    rebuilds exactly from the remaining columns.
+    """
+    learner = OlsLearner(FeatureMap("linear", input_dim=X.shape[1] - 1))
+    return build_loo_ensemble(Dataset(X[:, 1:], y), learner, RngStream(0))
 
 
-def suite_prop1_umbrella(seed: int, reps: int = 400, alpha: float = 0.10, n_train: int = 50):
-    scenario = LinearScenario()
+def refit_gap(X: np.ndarray, y: np.ndarray, X_new: np.ndarray) -> float:
+    """Largest |closed-form - refit| score; ``X`` and the (m, p) ``X_new`` lead with ones."""
+    closed = closed_form_scores(X, y, X_new).scores
+    refit = refit_ensemble(X, y).scores(X_new[:, 1:])
+    return float(np.max(np.abs(closed - refit)))
+
+
+def coverage_floor(alpha: float, reps: int) -> float:
+    """The 1 - 2 alpha guarantee less three binomial standard errors over ``reps`` points."""
+    return (1.0 - 2.0 * alpha) - 3.0 * np.sqrt(2.0 * alpha * (1.0 - 2.0 * alpha) / reps)
+
+
+def umbrella_coverages(seed: int, reps: int) -> dict[str, float]:
+    """Iid coverage at level ``UMBRELLA_ALPHA`` of a good, a wrong and an adversarial learner."""
     specs = [s for s in linear_learner_specs() if s.learner_id in ("mu0", "mu3")]
     specs.append(LearnerSpec("adversarial", "fixed", adversarial_learner()))
-    floor = (1.0 - 2.0 * alpha) - 3.0 * np.sqrt(2.0 * alpha * (1.0 - 2.0 * alpha) / reps)
-    details = []
-    ok = True
-    for spec in specs:
-        report = run_coverage_study(scenario, spec, alpha, reps, 1, seed, iid=True, n_train=n_train)
-        details.append(f"{spec.label}={report.coverage:.3f}")
-        ok = ok and report.coverage >= floor
-    return ok, f"floor {floor:.3f}; " + ", ".join(details)
+    return {
+        s.label: run_coverage_study(
+            LinearScenario(), s, UMBRELLA_ALPHA, reps, 1, seed, iid=True, n_train=50
+        ).coverage
+        for s in specs
+    }
 
 
-def suite_gradient_check(seed: int, instances: int = 30, tol: float = 1e-5):
-    gen = RngStream(seed, 1).generator()
+def gradient_error(gen: np.random.Generator, instances: int) -> float:
+    """Largest relative error of backprop against central differences.
+
+    Each instance is a (3, 2, 1) network and a 5-row sample drawn from
+    ``gen``; draws near a ReLU kink, where the derivative is not defined,
+    are skipped and do not count.
+    """
     arch = MlpArchitecture((3, 2, 1))
     step = 1e-5
-    worst = 0.0
+    errors = []
     checked = 0
     while checked < instances:
         params = _init_params(arch, gen, 1)  # a batch of one network
         X = gen.standard_normal((5, 3))
         y = gen.standard_normal(5)
-        # stay away from ReLU kinks where the derivative is not defined
         pre1 = X @ params[0][0].T
         pre2 = np.maximum(pre1, 0.0) @ params[1][0].T
         if min(np.min(np.abs(pre1)), np.min(np.abs(pre2))) < 1e-3:
@@ -88,41 +92,73 @@ def suite_gradient_check(seed: int, instances: int = 30, tol: float = 1e-5):
                 loss_minus = _sse(_forward(minus, X)[1], y, None)[0]
                 fd = (loss_plus - loss_minus) / (2 * step)
                 denom = max(abs(fd), abs(grad[idx]), 1e-8)
-                worst = max(worst, abs(fd - grad[idx]) / denom)
-    return worst < tol, f"max relative error = {worst:.2e} over {instances} instances"
+                errors.append(abs(fd - grad[idx]) / denom)
+    return float(np.max(errors))  # np.max, unlike max, lets a NaN through
 
 
-def suite_hat_trace(seed: int, designs: int = 50, tol: float = 1e-8):
+def toy_gap(y: np.ndarray, points: int) -> float:
+    """Sup gap between the conformal and the analytic Gaussian curve of ``y`` on a grid."""
+    learner = OlsLearner(FeatureMap("intercept", input_dim=1))
+    ensemble = build_loo_ensemble(Dataset(np.zeros((y.size, 1)), y), learner, RngStream(0))
+    result = PredictiveResult(ensemble.scores(np.zeros((1, 1)))[:, 0])
+    toy = GaussianToySample.from_data(y)
+    grid = curve_grid(result, points)
+    return float(max(abs(pv - predictive_curve_toy(toy, yy)) for yy, pv in grid))
+
+
+def suite_oracle_equivalence(seed: int) -> tuple[bool, str]:
+    gen = RngStream(seed, 0).generator()
+    worst = 0.0
+    for _ in range(20):
+        n = int(gen.integers(10, 31))
+        p = int(gen.integers(2, 5))
+        X = np.hstack([np.ones((n, 1)), gen.standard_normal((n, p - 1))])
+        y = gen.standard_normal(n)
+        x_new = np.concatenate([[1.0], gen.standard_normal(p - 1)])[None, :]
+        worst = max(worst, refit_gap(X, y, x_new))
+    return worst < 1e-8, f"max |closed-form - refit| = {worst:.2e}"
+
+
+def suite_prop1_umbrella(seed: int) -> tuple[bool, str]:
+    reps = 400
+    floor = coverage_floor(UMBRELLA_ALPHA, reps)
+    coverages = umbrella_coverages(seed, reps)
+    ok = all(c >= floor for c in coverages.values())
+    details = ", ".join(f"{label}={c:.3f}" for label, c in coverages.items())
+    return ok, f"floor {floor:.3f}; {details}"
+
+
+def suite_gradient_check(seed: int) -> tuple[bool, str]:
+    worst = gradient_error(RngStream(seed, 1).generator(), 30)
+    return worst < 1e-5, f"max relative error = {worst:.2e} over 30 instances"
+
+
+def suite_hat_trace(seed: int) -> tuple[bool, str]:
     gen = RngStream(seed, 2).generator()
     worst = 0.0
-    for _ in range(designs):
+    for _ in range(50):
         n = int(gen.integers(8, 60))
         p = int(gen.integers(1, min(6, n)))
         X = gen.standard_normal((n, p))
         diag = least_squares(X, np.zeros(n)).hat_diag()
         worst = max(worst, abs(diag.sum() - p))
-    return worst < tol, f"max |trace - p| = {worst:.2e}"
+    return worst < 1e-8, f"max |trace - p| = {worst:.2e}"
 
 
-def suite_toy_consistency(seed: int, n: int = 2000, theta: float = 0.5, tol: float = 0.05):
-    gen = RngStream(seed, 3).generator()
-    y = theta + gen.standard_normal(n)
-    dataset = Dataset(np.zeros((n, 1)), y)
-    learner = OlsLearner(FeatureMap("intercept", input_dim=1))
-    ensemble = build_loo_ensemble(dataset, learner, gen)
-    result = PredictiveResult(ensemble.scores(np.zeros((1, 1)))[:, 0])
-    toy = GaussianToySample.from_data(y)
-    grid = curve_grid(result, 200)
-    sup = max(abs(pv - predictive_curve_toy(toy, yy)) for yy, pv in grid)
-    return sup < tol, f"sup |conformal - analytic| = {sup:.3f}"
+def suite_toy_consistency(seed: int) -> tuple[bool, str]:
+    y = 0.5 + RngStream(seed, 3).generator().standard_normal(2000)
+    sup = toy_gap(y, 200)
+    return sup < 0.05, f"sup |conformal - analytic| = {sup:.3f}"
+
+
+SUITES = (
+    ("oracle-equivalence", suite_oracle_equivalence),
+    ("prop1-umbrella", suite_prop1_umbrella),
+    ("gradient-check", suite_gradient_check),
+    ("hat-trace", suite_hat_trace),
+    ("toy-consistency", suite_toy_consistency),
+)
 
 
 def run_verify(seed: int) -> list[tuple[str, bool, str]]:
-    suites = {
-        "oracle-equivalence": suite_oracle_equivalence,
-        "prop1-umbrella": suite_prop1_umbrella,
-        "gradient-check": suite_gradient_check,
-        "hat-trace": suite_hat_trace,
-        "toy-consistency": suite_toy_consistency,
-    }
-    return [(name, *suites[name](seed)) for name in SUITE_ORDER]
+    return [(name, *suite(seed)) for name, suite in SUITES]

@@ -11,22 +11,15 @@ import pytest
 from scipy import stats
 from scipy.special import ndtri
 
-from predcurves.closed_form import closed_form_scores, homeostasis_report, width_ordering_trial
+from predcurves.closed_form import homeostasis_report, width_ordering_trial
 from predcurves.cli import main
-from predcurves.conformal import Dataset, PredictiveResult, build_loo_ensemble, curve_grid
-from predcurves.gaussian_toy import GaussianToySample, confidence_cdf, predictive_curve_toy
-from predcurves.learners import FeatureMap, OlsLearner, adversarial_learner
-from predcurves.mlp import MlpArchitecture, _forward, _gradients, _init_params, _sse
+from predcurves.gaussian_toy import GaussianToySample, confidence_cdf, confidence_curve
+from predcurves.gaussian_toy import predictive_curve_toy
 from predcurves.rng import RngStream
 from predcurves.scenarios import LinearScenario, gen_linear
-from predcurves.studies import (
-    LearnerSpec,
-    linear_learner_specs,
-    run_coverage_study,
-    run_param_mse_study,
-    run_table_linear,
-    run_table_nn,
-)
+from predcurves.studies import run_param_mse_study, run_table_linear, run_table_nn
+from predcurves.verify import UMBRELLA_ALPHA, coverage_floor, gradient_error, refit_gap
+from predcurves.verify import toy_gap, umbrella_coverages
 
 TABLE1_SEED = 8
 TABLE2_SEED = 6
@@ -48,12 +41,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
         X = np.hstack([np.ones((n, 1)), gen.standard_normal((n, p - 1))])
         y = gen.standard_normal(n)
         x_new = np.concatenate([[1.0], gen.standard_normal(p - 1)])[None, :]
-        closed = closed_form_scores(X, y, x_new).scores
-        # n refits; the linear feature map rebuilds X's intercept column exactly
-        learner = OlsLearner(FeatureMap("linear", input_dim=p - 1))
-        ensemble = build_loo_ensemble(Dataset(X[:, 1:], y), learner, RngStream(0))
-        refit = ensemble.scores(x_new[:, 1:])
-        worst = max(worst, np.max(np.abs(closed - refit)))
+        worst = max(worst, refit_gap(X, y, x_new))
     elapsed = time.time() - start
     ok = worst < 1e-8 and elapsed < 10.0
     _report(1, ok, f"max deviation {worst:.2e} over 50 instances in {elapsed:.1f}s")
@@ -63,17 +51,9 @@ def test_criterion_1_closed_form_oracle_equivalence():
 
 def test_criterion_2_coverage_floor_umbrella():
     start = time.time()
-    scenario = LinearScenario()
-    alpha, reps = 0.10, 2000
-    floor = (1 - 2 * alpha) - 3 * np.sqrt(2 * alpha * (1 - 2 * alpha) / reps)
-    specs = [s for s in linear_learner_specs() if s.learner_id in ("mu0", "mu3")]
-    specs.append(LearnerSpec("adversarial", "fixed", adversarial_learner()))
-    coverages = {}
-    for spec in specs:
-        report = run_coverage_study(
-            scenario, spec, alpha, reps, 1, seed=UMBRELLA_SEED, iid=True, n_train=50
-        )
-        coverages[spec.label] = report.coverage
+    reps = 2000
+    floor = coverage_floor(UMBRELLA_ALPHA, reps)
+    coverages = umbrella_coverages(UMBRELLA_SEED, reps)
     elapsed = time.time() - start
     ok = (
         all(c >= floor for c in coverages.values())
@@ -257,32 +237,7 @@ def test_criterion_7_parameter_error_contrast():
 
 def test_criterion_8_gradient_check():
     start = time.time()
-    gen = RngStream(1008, 0).generator()
-    arch = MlpArchitecture((3, 2, 1))
-    step = 1e-5
-    worst = 0.0
-    checked = 0
-    while checked < 100:
-        params = _init_params(arch, gen, 1)  # a batch of one network
-        X = gen.standard_normal((5, 3))
-        y = gen.standard_normal(5)
-        pre1 = X @ params[0][0].T
-        pre2 = np.maximum(pre1, 0.0) @ params[1][0].T
-        if min(np.min(np.abs(pre1)), np.min(np.abs(pre2))) < 1e-3:
-            continue  # too close to a ReLU kink for finite differences
-        checked += 1
-        grads = _gradients(params, X, y, *_forward(params, X), None)
-        for layer, grad in enumerate(grads):
-            for idx in np.ndindex(grad.shape):
-                plus = [W.copy() for W in params]
-                minus = [W.copy() for W in params]
-                plus[layer][idx] += step
-                minus[layer][idx] -= step
-                loss_plus = _sse(_forward(plus, X)[1], y, None)[0]
-                loss_minus = _sse(_forward(minus, X)[1], y, None)[0]
-                fd = (loss_plus - loss_minus) / (2 * step)
-                denom = max(abs(fd), abs(grad[idx]), 1e-8)
-                worst = max(worst, abs(fd - grad[idx]) / denom)
+    worst = gradient_error(RngStream(1008, 0).generator(), 100)
     elapsed = time.time() - start
     ok = worst < 1e-5 and elapsed < 10.0
     _report(8, ok, f"max relative error {worst:.2e} over 100 instances in {elapsed:.1f}s")
@@ -301,24 +256,13 @@ def test_criterion_9_gaussian_toy():
     ks = stats.kstest(values, "uniform").statistic
 
     # (b) conformal curve converges to the analytic one
-    gen = RngStream(1009, 1).generator()
-    n = 2000
-    y = theta + gen.standard_normal(n)
-    dataset = Dataset(np.zeros((n, 1)), y)
-    ensemble = build_loo_ensemble(
-        dataset, OlsLearner(FeatureMap("intercept", input_dim=1)), gen
-    )
-    result = PredictiveResult(ensemble.scores(np.zeros((1, 1)))[:, 0])
-    toy = GaussianToySample.from_data(y)
-    grid = curve_grid(result, 300)
-    sup = max(abs(pv - predictive_curve_toy(toy, yy)) for yy, pv in grid)
+    y = theta + RngStream(1009, 1).generator().standard_normal(2000)
+    sup = toy_gap(y, 300)
 
     # (c) curve level sets sit exactly at the Gaussian quantiles
     sample = GaussianToySample(ybar=1.35, n=5)
     half_conf = ndtri(0.975) / np.sqrt(sample.n)
     half_pred = ndtri(0.975) * np.sqrt(1.0 + 1.0 / sample.n)
-    from predcurves.gaussian_toy import confidence_curve
-
     level_err = max(
         abs(confidence_curve(sample, sample.ybar - half_conf) - 0.05),
         abs(confidence_curve(sample, sample.ybar + half_conf) - 0.05),

@@ -8,16 +8,7 @@ from predcurves.learners import FeatureMap, OlsLearner
 from predcurves.linalg import least_squares
 from predcurves.rng import RngStream
 from predcurves.scenarios import LinearScenario, gen_linear
-
-
-def refit_ensemble(X, y):
-    """Independent oracle: n least-squares refits, each with one row left out.
-
-    ``X`` starts with an intercept column, which the ``linear`` feature map
-    rebuilds exactly from the remaining columns.
-    """
-    learner = OlsLearner(FeatureMap("linear", input_dim=X.shape[1] - 1))
-    return build_loo_ensemble(Dataset(X[:, 1:], y), learner, np.random.default_rng(0))
+from predcurves.verify import refit_ensemble
 
 
 class TestClosedFormScores:

@@ -10,6 +10,9 @@ from predcurves.mlp import (
     MlpLearner,
     MlpModel,
     TrainerConfig,
+    _GRADIENT_TOLERANCE,
+    _MIN_STEP,
+    _MOMENTUM,
     _forward,
     _gradients,
     _init_params,
@@ -19,6 +22,7 @@ from predcurves.mlp import (
 )
 from predcurves.rng import RngStream
 from predcurves.scenarios import NnScenario, gen_nn
+from predcurves.verify import gradient_error
 
 TRUE_PARAMS = [np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([[1.0, -1.0]])]
 
@@ -65,28 +69,7 @@ class TestGradient:
             np.testing.assert_array_equal(g, 0.0)
 
     def test_matches_finite_differences(self):
-        gen = RngStream(2, 0).generator()
-        step = 1e-5
-        checked = 0
-        while checked < 10:
-            params = _init_params(MlpArchitecture((3, 2, 1)), gen, 1)
-            X = gen.standard_normal((5, 3))
-            y = gen.standard_normal(5)
-            pre1 = X @ params[0][0].T
-            pre2 = np.maximum(pre1, 0.0) @ params[1][0].T
-            if min(np.min(np.abs(pre1)), np.min(np.abs(pre2))) < 1e-3:
-                continue
-            checked += 1
-            grads = _gradients(params, X, y, *_forward(params, X), None)
-            for layer, grad in enumerate(grads):
-                for idx in np.ndindex(grad.shape):
-                    plus = [W.copy() for W in params]
-                    minus = [W.copy() for W in params]
-                    plus[layer][idx] += step
-                    minus[layer][idx] -= step
-                    fd = (_loss(plus, X, y)[0] - _loss(minus, X, y)[0]) / (2 * step)
-                    denom = max(abs(fd), abs(grad[idx]), 1e-8)
-                    assert abs(fd - grad[idx]) / denom < 1e-5
+        assert gradient_error(RngStream(2, 0).generator(), 10) < 1e-5
 
     def test_linear_regime_matches_least_squares_gradient(self):
         gen = RngStream(3, 0).generator()
@@ -278,8 +261,8 @@ class TestTrainer:
             loss = _sse(out, ds.y, masks)
             grads = _gradients(params, ds.X, ds.y, acts, out, masks)
             gmax = np.max([np.abs(g).reshape(20, -1).max(axis=1) for g in grads], axis=0)
-            live &= ~((gmax < config.gradient_tolerance) | (step < 1e-15))
-            velocity = [config.momentum * V - step[:, None, None] * g for V, g in zip(velocity, grads)]
+            live &= ~((gmax < _GRADIENT_TOLERANCE) | (step < _MIN_STEP))
+            velocity = [_MOMENTUM * V - step[:, None, None] * g for V, g in zip(velocity, grads)]
             cand = [W + V for W, V in zip(params, velocity)]
             accept = _sse(_forward(cand, ds.X)[1], ds.y, masks) <= loss
             move = (accept & live)[:, None, None]

@@ -18,6 +18,7 @@ from predcurves.studies import (
     run_table_nn,
     score_matrix,
 )
+from predcurves.verify import coverage_floor
 
 
 class TestLearnerSpecs:
@@ -112,7 +113,7 @@ class TestCoverageStudy:
         alpha, reps = 0.2, 150
         spec = LearnerSpec("zero", "fixed", zero_learner())
         report = run_coverage_study(scenario, spec, alpha, reps, 1, seed=3, iid=True, n_train=40)
-        floor = 1 - 2 * alpha - 3 * np.sqrt(2 * alpha * (1 - 2 * alpha) / reps)
+        floor = coverage_floor(alpha, reps)
         assert report.coverage >= floor
 
     def test_typical_coverage_near_nominal(self):
@@ -146,7 +147,7 @@ class TestTableLinear:
         noniid = {r.learner: r for r in rows if r.scenario == "linear-noniid"}
         # coverage floor for every learner under iid sampling
         alpha, reps = 0.05, 200
-        floor = 1 - 2 * alpha - 3 * np.sqrt(2 * alpha * (1 - 2 * alpha) / reps)
+        floor = coverage_floor(alpha, reps)
         assert all(r.coverage >= floor for r in iid.values())
         # width ordering with a margin of 3 width standard errors; datasets
         # are paired across learners so the per-rep ordering is near-certain
