@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from predcurves import cli
 from predcurves.cli import UsageError, main, parse_config
 from predcurves.emit import (
     emit_curves,
@@ -10,6 +11,7 @@ from predcurves.emit import (
     format_results_csv,
     parse_results_json,
 )
+from predcurves.mlp import MlpLearner
 from predcurves.scenarios import LinearScenario
 from predcurves.studies import MonteCarloReport, run_table_linear
 
@@ -217,6 +219,47 @@ class TestMainExitCodes:
         first = capsys.readouterr().out
         assert main(["verify", "--seed", "3"]) == 0
         assert capsys.readouterr().out == first
+
+
+# Each run's training size, repetitions and deep depths, as in the README ``--scale`` table.
+SCALE_SIZES = [
+    ("table1", 300, 200, None),
+    ("table1 --scale desk", 100, 50, None),
+    ("table1 --scale paper", 300, 200, None),
+    ("table2", 300, 10, None),
+    ("table2 --scale desk", 120, 3, None),
+    ("table2 --scale paper", 300, 10, None),
+    ("table3", 100, 5, (5, 5)),
+    ("table3 --scale desk", 100, 5, (5, 5)),
+    ("table3 --scale paper", 300, 10, (20, 100)),
+    ("table3 --scale paper --depth 7 --n-train 9", 9, 10, (7, 7)),
+    ("curves --scenario nn", 300, None, (5, 5)),
+    ("curves --scenario nn --scale desk", 100, None, (5, 5)),
+    ("curves --scenario nn --scale paper", 300, None, (5, 5)),
+    ("curves --scenario linear", 300, None, None),
+]
+
+
+class TestScaleSizes:
+    @pytest.mark.parametrize(
+        "command, n_train, reps, deep_depths", SCALE_SIZES, ids=[case[0] for case in SCALE_SIZES]
+    )
+    def test_sizes(self, monkeypatch, capsys, command, n_train, reps, deep_depths):
+        calls = []
+
+        def stub(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise ValueError("stub: no study is run")
+
+        for name in ("run_table_linear", "run_param_mse_study", "run_table_nn", "export_curves"):
+            monkeypatch.setattr(cli, name, stub)
+        assert main([*command.split(), "--seed", "1"]) == 2
+        ((args, kwargs),) = calls
+        depths = kwargs.get("deep_depths")
+        if command.startswith("curves"):  # the depths reach export_curves inside the learner specs
+            deep = [s.learner for s in args[1] if isinstance(s.learner, MlpLearner)][-2:]
+            depths = tuple(len(learner.architecture.widths) - 1 for learner in deep) or None
+        assert (kwargs["n_train"], kwargs.get("reps"), depths) == (n_train, reps, deep_depths)
 
 
 class TestSmallTableRuns:
