@@ -35,13 +35,7 @@ from .gaussian_toy import (
     predictive_cdf_toy,
     predictive_curve_toy,
 )
-from .learners import (
-    FeatureMap,
-    FixedRuleLearner,
-    OlsLearner,
-    adversarial_learner,
-    zero_learner,
-)
+from .learners import FeatureMap, FixedRuleLearner, OlsLearner
 from .linalg import least_squares
 from .mlp import (
     OPT_MSE,

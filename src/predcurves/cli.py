@@ -9,26 +9,29 @@ Commands::
     toy-curves  analytic Gaussian confidence/predictive curves
     verify      run the built-in verification suites
 
-Every data-producing command requires ``--seed``; outputs are then byte
-deterministic. Each command accepts only the flags it reads
-(``COMMAND_FLAGS``). Flags override values from an optional ``--config``
-file (flat ``key=value`` lines, ``#`` comments, keys named and typed as
-the command's flags), which override the ``RunConfig`` defaults. Exit
-codes: 0 success, 1 verification or write failure, 2 usage error or an
-input the method cannot handle (any ``ValueError``).
+Three tables each hold one decision: ``FLAGS`` each flag's type and
+default, ``COMMAND_FLAGS`` the flags each command accepts, and ``SIZES``
+each command's default scale and its training size, repetitions and deep
+depths per ``--scale``. ``parse_config`` resolves a run from them: flags
+override an optional ``--config`` file (flat ``key=value`` lines, ``#``
+comments, keys named and typed as the command's flags), which overrides
+the ``FLAGS`` defaults; after the checks, ``SIZES`` fills the sizes still
+unset. Every data-producing command requires ``--seed``; outputs are then
+byte deterministic. Exit codes: 0 success, 1 verification or write
+failure, 2 usage error or an input the method cannot handle (any
+``ValueError``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .emit import emit_curves, emit_param_mse, emit_results
 from .gaussian_toy import GaussianToySample, confidence_curve, predictive_curve_toy
-from .mlp import SINGLE_RESTART, TrainerConfig
+from .mlp import OPT_MSE, SINGLE_RESTART, TrainerConfig
 from .rng import RngStream
 from .scenarios import LinearScenario, NnScenario
 from .studies import (
@@ -41,25 +44,23 @@ from .studies import (
 )
 from .verify import run_verify
 
-TABLE_COMMANDS = ("table1", "table2", "table3")
-CURVE_COMMANDS = ("curves", "toy-curves")
-
-_FLAG_KINDS = {
-    "seed": {"type": int},
-    "out": {"type": str},
-    "format": {"choices": ("csv", "json")},
-    "scale": {"choices": ("desk", "paper")},
-    "alpha": {"type": float},
-    "n-train": {"type": int},
-    "reps": {"type": int},
-    "depth": {"type": int},
-    "restarts": {"type": int},
-    "cov-shift-scale": {"type": float},
-    "scenario": {"choices": ("linear", "nn")},
-    "x-new": {"type": str},
-    "grid-points": {"type": int},
-    "n": {"type": int},
-    "theta": {"type": float},
+# flag -> (argparse keywords, default). Each flag's type and default live only here.
+FLAGS = {
+    "seed": ({"type": int}, None),
+    "out": ({"type": str}, None),
+    "format": ({"choices": ("csv", "json")}, "csv"),
+    "scale": ({"choices": ("desk", "paper")}, None),
+    "alpha": ({"type": float}, 0.05),
+    "n-train": ({"type": int}, None),
+    "reps": ({"type": int}, None),
+    "depth": ({"type": int}, None),
+    "restarts": ({"type": int}, OPT_MSE.restarts),
+    "cov-shift-scale": ({"type": float}, 0.5),
+    "scenario": ({"choices": ("linear", "nn")}, "linear"),
+    "x-new": ({"type": str}, "sample-mean"),
+    "grid-points": ({"type": int}, 400),
+    "n": ({"type": int}, 5),
+    "theta": ({"type": float}, 1.35),
 }
 
 # The flags each command's runner reads; each is also a config-file key.
@@ -74,6 +75,15 @@ COMMAND_FLAGS = {
     "verify": ("seed",),
 }
 
+# command -> (scale without --scale, {scale: (n-train, reps, deep depths)}). --n-train,
+# --reps and --depth override these one by one; --depth sets both deep depths.
+SIZES = {
+    "table1": ("paper", {"desk": (100, 50, None), "paper": (300, 200, None)}),
+    "table2": ("paper", {"desk": (120, 3, None), "paper": (300, 10, None)}),
+    "table3": ("desk", {"desk": (100, 5, (5, 5)), "paper": (300, 10, (20, 100))}),
+    "curves": ("paper", {"desk": (100, None, (5, 5)), "paper": (300, None, (5, 5))}),
+}
+
 _X_NEW_MODES = ("sample-mean", "iid-draw", "non-iid-draw")
 
 
@@ -86,26 +96,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    seed: int | None = None
-    out: str | None = None
-    format: str = "csv"
-    scale: str | None = None
-    alpha: float = 0.05
-    n_train: int | None = None
-    reps: int | None = None
-    depth: int | None = None
-    restarts: int | None = None
-    scenario: str = "linear"
-    x_new: str = "sample-mean"
-    grid_points: int = 400
-    n: int = 5
-    theta: float = 1.35
-    cov_shift_scale: float = 0.5
-
-
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="predcurves")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -114,12 +104,12 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p = commands[name] = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
         for flag in flags:
-            p.add_argument(f"--{flag}", default=None, **_FLAG_KINDS[flag])
+            p.add_argument(f"--{flag}", default=None, **FLAGS[flag][0])
     return parser, commands
 
 
 def _read_config_file(path: str, command: str, parser: _Parser) -> dict:
-    """Config-file values by ``RunConfig`` field, parsed by the command's own subparser."""
+    """Config-file values by attribute name, parsed by the command's own subparser."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -144,21 +134,17 @@ def _read_config_file(path: str, command: str, parser: _Parser) -> dict:
     return values
 
 
-def parse_config(argv: list[str]) -> RunConfig:
-    """Merge flags over config-file values over the ``RunConfig`` defaults."""
+def parse_config(argv: list[str]) -> argparse.Namespace:
+    """Resolve a run: flags over config-file values over ``FLAGS`` defaults, then ``SIZES``."""
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    values = {}
+    given = {}
     if args.config:
-        values = _read_config_file(args.config, args.command, commands[args.command])
-    for f in fields(RunConfig):
-        if getattr(args, f.name, None) is not None:
-            values[f.name] = getattr(args, f.name)
-    cfg = RunConfig(**values)
-    if cfg.scale is None and cfg.command in TABLE_COMMANDS:
-        cfg.scale = "desk" if cfg.command == "table3" else "paper"
-
-    if cfg.command in TABLE_COMMANDS + CURVE_COMMANDS and cfg.seed is None:
+        given = _read_config_file(args.config, args.command, commands[args.command])
+    given.update((name, value) for name, value in vars(args).items() if value is not None)
+    defaults = {flag.replace("-", "_"): default for flag, (_, default) in FLAGS.items()}
+    cfg = argparse.Namespace(**{**defaults, **given})
+    if cfg.command != "verify" and cfg.seed is None:
         raise UsageError(f"{cfg.command} requires --seed")
     if cfg.seed is not None and not 0 <= cfg.seed < 2**64:
         raise UsageError("--seed must be an unsigned 64-bit integer")
@@ -166,10 +152,20 @@ def parse_config(argv: list[str]) -> RunConfig:
         raise UsageError(f"--alpha must be in (0, 1), got {cfg.alpha}")
     if not cfg.cov_shift_scale > 0.0:
         raise UsageError(f"--cov-shift-scale must be positive, got {cfg.cov_shift_scale}")
-    for field_name in ("n_train", "reps", "depth", "restarts", "grid_points", "n"):
-        value = getattr(cfg, field_name)
+    for flag in ("n-train", "reps", "depth", "restarts", "grid-points", "n"):
+        value = getattr(cfg, flag.replace("-", "_"))
         if value is not None and value < 1:
-            raise UsageError(f"--{field_name.replace('_', '-')} must be positive")
+            raise UsageError(f"--{flag} must be positive")
+    cfg.x_new = _parse_x_new(cfg.x_new)
+    if cfg.command == "curves" and cfg.scenario == "linear":
+        if {"scale", "depth", "restarts"} & given.keys():
+            raise UsageError("--scale, --depth and --restarts apply to --scenario nn only")
+    if cfg.command in SIZES:
+        default_scale, sizes = SIZES[cfg.command]
+        cfg.scale = cfg.scale or default_scale
+        n_train, reps, depths = sizes[cfg.scale]
+        cfg.n_train, cfg.reps = cfg.n_train or n_train, cfg.reps or reps
+        cfg.deep_depths = (cfg.depth, cfg.depth) if cfg.depth else depths
     return cfg
 
 
@@ -184,81 +180,57 @@ def _parse_x_new(text: str):
         )
 
 
-def _opt_config(restarts: int | None) -> TrainerConfig:
-    return TrainerConfig() if restarts is None else TrainerConfig(restarts=restarts)
-
-
-def _run_table1(cfg: RunConfig) -> str:
-    n_train = cfg.n_train or (300 if cfg.scale == "paper" else 100)
-    reps = cfg.reps or (200 if cfg.scale == "paper" else 50)
+def _run_table1(cfg: argparse.Namespace) -> str:
     scenario = LinearScenario(cov_shift_scale=cfg.cov_shift_scale)
-    rows = run_table_linear(cfg.seed, alpha=cfg.alpha, n_train=n_train, reps=reps, scenario=scenario)
+    rows = run_table_linear(
+        cfg.seed, alpha=cfg.alpha, n_train=cfg.n_train, reps=cfg.reps, scenario=scenario
+    )
     return emit_results(rows, cfg.format, cfg.out)
 
 
-def _run_table2(cfg: RunConfig) -> str:
-    n_train = cfg.n_train or (300 if cfg.scale == "paper" else 120)
-    reps = cfg.reps or (10 if cfg.scale == "paper" else 3)
+def _run_table2(cfg: argparse.Namespace) -> str:
     table = run_param_mse_study(
-        cfg.seed, n_train=n_train, reps=reps, opt_config=_opt_config(cfg.restarts)
+        cfg.seed, n_train=cfg.n_train, reps=cfg.reps, opt_config=TrainerConfig(cfg.restarts)
     )
     return emit_param_mse(table, cfg.format, cfg.out)
 
 
-def _run_table3(cfg: RunConfig) -> str:
+def _run_table3(cfg: argparse.Namespace) -> str:
     if cfg.scale == "paper":
         print(
             "warning: paper-scale table3 fits deep networks for every leave-one-out fold; "
             "expect a long run",
             file=sys.stderr,
         )
-    n_train = cfg.n_train or (300 if cfg.scale == "paper" else 100)
-    reps = cfg.reps or (10 if cfg.scale == "paper" else 5)
-    if cfg.depth is not None:
-        depths = (cfg.depth, cfg.depth)
-    else:
-        depths = (20, 100) if cfg.scale == "paper" else (5, 5)
     rows = run_table_nn(
-        cfg.seed,
-        alpha=cfg.alpha,
-        n_train=n_train,
-        reps=reps,
-        deep_depths=depths,
-        opt_config=_opt_config(cfg.restarts),
-        single_config=SINGLE_RESTART,
+        cfg.seed, alpha=cfg.alpha, n_train=cfg.n_train, reps=cfg.reps, deep_depths=cfg.deep_depths,
+        opt_config=TrainerConfig(cfg.restarts), single_config=SINGLE_RESTART,
     )
     return emit_results(rows, cfg.format, cfg.out)
 
 
-def _run_curves(cfg: RunConfig) -> str:
-    x_new = _parse_x_new(cfg.x_new) if isinstance(cfg.x_new, str) else cfg.x_new
+def _run_curves(cfg: argparse.Namespace) -> str:
     if cfg.scenario == "linear":
-        if (cfg.scale, cfg.depth, cfg.restarts) != (None, None, None):
-            raise UsageError("--scale, --depth and --restarts apply to --scenario nn only")
-        scenario = LinearScenario()
-        specs = linear_learner_specs()
-        n_train = cfg.n_train or 300
+        scenario, specs = LinearScenario(), linear_learner_specs()
     else:
         scenario = NnScenario()
-        depth = cfg.depth or 5
-        specs = nn_learner_specs((depth, depth), _opt_config(cfg.restarts), SINGLE_RESTART)
-        n_train = cfg.n_train or (100 if cfg.scale == "desk" else 300)
+        specs = nn_learner_specs(cfg.deep_depths, TrainerConfig(cfg.restarts), SINGLE_RESTART)
     rows = export_curves(
-        scenario, specs, x_new=x_new, grid_points=cfg.grid_points, seed=cfg.seed, n_train=n_train
+        scenario, specs, x_new=cfg.x_new, grid_points=cfg.grid_points, seed=cfg.seed,
+        n_train=cfg.n_train,
     )
     return emit_curves(rows, cfg.out)
 
 
-def _run_toy_curves(cfg: RunConfig) -> str:
+def _run_toy_curves(cfg: argparse.Namespace) -> str:
     gen = RngStream(cfg.seed, 0).generator()
     sample = GaussianToySample.from_data(cfg.theta + gen.standard_normal(cfg.n))
     half_conf = 4.0 / np.sqrt(sample.n)
     half_pred = 4.0 * np.sqrt(1.0 + 1.0 / sample.n)
-    rows = []
-    for theta in np.linspace(sample.ybar - half_conf, sample.ybar + half_conf, cfg.grid_points):
-        rows.append(("confidence-curve", float(theta), confidence_curve(sample, theta)))
-    for y in np.linspace(sample.ybar - half_pred, sample.ybar + half_pred, cfg.grid_points):
-        rows.append(("predictive-curve", float(y), predictive_curve_toy(sample, y)))
+    thetas = np.linspace(sample.ybar - half_conf, sample.ybar + half_conf, cfg.grid_points)
+    ys = np.linspace(sample.ybar - half_pred, sample.ybar + half_pred, cfg.grid_points)
+    rows = [("confidence-curve", *row) for row in zip(thetas, confidence_curve(sample, thetas))]
+    rows += [("predictive-curve", *row) for row in zip(ys, predictive_curve_toy(sample, ys))]
     return emit_curves(rows, cfg.out)
 
 

@@ -35,31 +35,33 @@ class GaussianToySample:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if not np.isfinite(self.ybar):
+            raise ValueError(f"the sample mean must be finite, got {self.ybar}")
 
     @classmethod
     def from_data(cls, y: np.ndarray) -> "GaussianToySample":
         y = np.asarray(y, dtype=float)
-        return cls(ybar=float(y.mean()), n=y.size)
+        with np.errstate(over="ignore"):  # an overflowed mean is rejected by __post_init__
+            return cls(ybar=float(y.mean()), n=y.size)
 
 
-def confidence_cdf(sample: GaussianToySample, theta: float) -> float:
-    """``Phi(sqrt(n) (theta - ybar))``."""
-    return float(ndtr(np.sqrt(sample.n) * (theta - sample.ybar)))
+def confidence_cdf(sample: GaussianToySample, theta):
+    """``Phi(sqrt(n) (theta - ybar))``; scalar or array ``theta``."""
+    return ndtr(np.sqrt(sample.n) * (theta - sample.ybar))
 
 
-def confidence_curve(sample: GaussianToySample, theta: float) -> float:
+def confidence_curve(sample: GaussianToySample, theta):
     """``2 min(H, 1 - H)``; equals 1 at ``theta = ybar``."""
     h = confidence_cdf(sample, theta)
-    return 2.0 * min(h, 1.0 - h)
+    return 2.0 * np.minimum(h, 1.0 - h)
 
 
-def predictive_cdf_toy(sample: GaussianToySample, y: float) -> float:
-    """``Phi((y - ybar) / sqrt(1 + 1/n))``."""
-    scale = np.sqrt(1.0 + 1.0 / sample.n)
-    return float(ndtr((y - sample.ybar) / scale))
+def predictive_cdf_toy(sample: GaussianToySample, y):
+    """``Phi((y - ybar) / sqrt(1 + 1/n))``; scalar or array ``y``."""
+    return ndtr((y - sample.ybar) / np.sqrt(1.0 + 1.0 / sample.n))
 
 
-def predictive_curve_toy(sample: GaussianToySample, y: float) -> float:
+def predictive_curve_toy(sample: GaussianToySample, y):
     """``2 min(Q, 1 - Q)``; peaks at the sample mean."""
     q = predictive_cdf_toy(sample, y)
-    return 2.0 * min(q, 1.0 - q)
+    return 2.0 * np.minimum(q, 1.0 - q)

@@ -105,11 +105,3 @@ class FixedRuleLearner:
 
     def fit(self, dataset: Dataset, rng=None) -> _FixedModel:
         return _FixedModel(self.scale, self.coordinate)
-
-
-def zero_learner() -> FixedRuleLearner:
-    return FixedRuleLearner(scale=0.0)
-
-
-def adversarial_learner(scale: float = -1000.0, coordinate: int = 0) -> FixedRuleLearner:
-    return FixedRuleLearner(scale=scale, coordinate=coordinate)

@@ -86,11 +86,11 @@ def linear_learner_specs() -> list[LearnerSpec]:
     ]
 
 
-def deep_architecture(depth: int, width: int = 20, input_dim: int = 3) -> MlpArchitecture:
-    """``depth`` weight layers: input -> width x (depth - 1) -> 1."""
+def deep_architecture(depth: int) -> MlpArchitecture:
+    """``depth`` weight layers: 3 inputs -> 20 x (depth - 1) -> 1."""
     if depth < 2:
         raise ValueError("deep architectures need at least 2 layers")
-    return MlpArchitecture((input_dim, *([width] * (depth - 1)), 1))
+    return MlpArchitecture((3, *([20] * (depth - 1)), 1))
 
 
 def nn_learner_specs(

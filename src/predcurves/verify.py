@@ -17,7 +17,7 @@ import numpy as np
 from .closed_form import closed_form_scores
 from .conformal import Dataset, LooEnsemble, PredictiveResult, build_loo_ensemble, curve_grid
 from .gaussian_toy import GaussianToySample, predictive_curve_toy
-from .learners import FeatureMap, OlsLearner, adversarial_learner
+from .learners import FeatureMap, FixedRuleLearner, OlsLearner
 from .linalg import least_squares
 from .mlp import MlpArchitecture, _forward, _gradients, _init_params, _sse
 from .rng import RngStream
@@ -52,7 +52,7 @@ def coverage_floor(alpha: float, reps: int) -> float:
 def umbrella_coverages(seed: int, reps: int) -> dict[str, float]:
     """Iid coverage at level ``UMBRELLA_ALPHA`` of a good, a wrong and an adversarial learner."""
     specs = [s for s in linear_learner_specs() if s.learner_id in ("mu0", "mu3")]
-    specs.append(LearnerSpec("adversarial", "fixed", adversarial_learner()))
+    specs.append(LearnerSpec("adversarial", "fixed", FixedRuleLearner(-1000.0)))
     return {
         s.label: run_coverage_study(
             LinearScenario(), s, UMBRELLA_ALPHA, reps, 1, seed, iid=True, n_train=50
@@ -102,8 +102,8 @@ def toy_gap(y: np.ndarray, points: int) -> float:
     ensemble = build_loo_ensemble(Dataset(np.zeros((y.size, 1)), y), learner, RngStream(0))
     result = PredictiveResult(ensemble.scores(np.zeros((1, 1)))[:, 0])
     toy = GaussianToySample.from_data(y)
-    grid = curve_grid(result, points)
-    return float(max(abs(pv - predictive_curve_toy(toy, yy)) for yy, pv in grid))
+    ys, pv = curve_grid(result, points).T
+    return float(np.max(np.abs(pv - predictive_curve_toy(toy, ys))))
 
 
 def suite_oracle_equivalence(seed: int) -> tuple[bool, str]:

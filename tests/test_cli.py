@@ -205,8 +205,14 @@ class TestMainExitCodes:
             (["curves", "--scenario", "nn", "--depth", "1"], "at least 2 layers"),
             (["table1", "--n-train", "2"], "at least 3 training rows"),
             (["table1", "--n-train", "3"], "leverage-one point"),
+            (["toy-curves", "--theta", "nan"], "sample mean must be finite"),
+            (["toy-curves", "--theta", "inf"], "sample mean must be finite"),
+            (["toy-curves", "--theta", "1e308"], "sample mean must be finite"),
         ],
-        ids=["x-new-dim", "x-new-nan", "table3-depth", "curves-depth", "n-train-2", "leverage-one"],
+        ids=[
+            "x-new-dim", "x-new-nan", "table3-depth", "curves-depth", "n-train-2", "leverage-one",
+            "theta-nan", "theta-inf", "theta-1e308",
+        ],
     )
     def test_inputs_the_method_cannot_handle_exit_2(self, capsys, argv, message):
         assert main([*argv, "--seed", "1"]) == 2

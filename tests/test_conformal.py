@@ -13,7 +13,7 @@ from predcurves.conformal import (
     predictive_cdf,
     predictive_curve,
 )
-from predcurves.learners import FeatureMap, OlsLearner, zero_learner
+from predcurves.learners import FeatureMap, FixedRuleLearner, OlsLearner
 from predcurves.rng import RngStream
 
 MEAN_LEARNER = OlsLearner(FeatureMap("intercept", input_dim=1))
@@ -64,7 +64,7 @@ class TestLooEnsemble:
     def test_zero_learner_scores_are_responses(self):
         gen = RngStream(5).generator()
         ds = Dataset(gen.standard_normal((12, 2)), gen.standard_normal(12))
-        ens = build_loo_ensemble(ds, zero_learner(), gen)
+        ens = build_loo_ensemble(ds, FixedRuleLearner(0.0), gen)
         scores = ens.scores(gen.standard_normal((1, 2)))[:, 0]
         np.testing.assert_allclose(np.sort(scores), np.sort(ds.y), atol=1e-12)
 

@@ -99,6 +99,17 @@ class TestPredictiveToy:
             assert predictive_curve_toy(s, y) == pytest.approx(0.05, abs=1e-10)
 
 
+class TestArrayCalls:
+    def test_array_call_equals_scalar_calls(self):
+        gen = RngStream(202, 0).generator()
+        s = GaussianToySample.from_data(1.35 + gen.standard_normal(5))
+        xs = np.concatenate([s.ybar + 3.0 * gen.standard_normal(50), [s.ybar, -np.inf, np.inf]])
+        for fn in (confidence_cdf, confidence_curve, predictive_cdf_toy, predictive_curve_toy):
+            values = fn(s, xs)
+            assert values.shape == xs.shape
+            np.testing.assert_array_equal(values, [fn(s, x) for x in xs])
+
+
 class TestConformalConsistency:
     def test_conformal_curve_approaches_analytic(self):
         n = 2000

@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from predcurves.conformal import Dataset
-from predcurves.learners import (
-    FeatureMap,
-    OlsLearner,
-    adversarial_learner,
-    zero_learner,
-)
+from predcurves.learners import FeatureMap, FixedRuleLearner, OlsLearner
 
 
 class TestFeatureMap:
@@ -83,10 +78,10 @@ class TestOlsLearner:
 
 class TestFixedRuleLearners:
     def test_zero_learner(self):
-        model = zero_learner().fit(None)
+        model = FixedRuleLearner(0.0).fit(None)
         np.testing.assert_array_equal(model.predict(np.ones((4, 3))), np.zeros(4))
 
     def test_adversarial_learner(self):
-        model = adversarial_learner().fit(None)
+        model = FixedRuleLearner(-1000.0).fit(None)
         X = np.array([[2.0, 1.0], [-1.0, 0.0]])
         np.testing.assert_allclose(model.predict(X), [-2000.0, 1000.0])

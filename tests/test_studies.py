@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from predcurves.conformal import Dataset
-from predcurves.learners import FeatureMap, OlsLearner, zero_learner
+from predcurves.learners import FeatureMap, FixedRuleLearner, OlsLearner
 from predcurves.mlp import TrainerConfig
 from predcurves.rng import RngStream
 from predcurves.scenarios import LinearScenario, NnScenario
@@ -41,7 +41,7 @@ class TestLearnerSpecs:
 
 SCORING_PATHS = pytest.mark.parametrize(
     "learner",
-    [OlsLearner(FeatureMap("intercept", input_dim=2)), zero_learner()],
+    [OlsLearner(FeatureMap("intercept", input_dim=2)), FixedRuleLearner(0.0)],
     ids=["closed-form", "refit"],
 )
 
@@ -111,7 +111,7 @@ class TestCoverageStudy:
         # distribution-free floor holds even for a learner that predicts 0
         scenario = LinearScenario()
         alpha, reps = 0.2, 150
-        spec = LearnerSpec("zero", "fixed", zero_learner())
+        spec = LearnerSpec("zero", "fixed", FixedRuleLearner(0.0))
         report = run_coverage_study(scenario, spec, alpha, reps, 1, seed=3, iid=True, n_train=40)
         floor = coverage_floor(alpha, reps)
         assert report.coverage >= floor
