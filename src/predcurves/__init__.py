@@ -20,11 +20,9 @@ from .closed_form import (
 from .conformal import (
     Dataset,
     LooEnsemble,
-    PredictiveResult,
     build_loo_ensemble,
     curve_grid,
     interval_from_scores,
-    median_point_prediction,
     predictive_cdf,
     predictive_curve,
 )

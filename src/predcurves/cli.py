@@ -25,6 +25,7 @@ failure, 2 usage error or an input the method cannot handle (any
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -101,7 +102,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     commands = {}
     for name, flags in COMMAND_FLAGS.items():
-        p = commands[name] = sub.add_parser(name)
+        p = commands[name] = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", type=str, default=None)
         for flag in flags:
             p.add_argument(f"--{flag}", default=None, **FLAGS[flag][0])
@@ -180,6 +181,13 @@ def _parse_x_new(text: str):
         )
 
 
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` that is a directory or lies in no writable one, before any study runs."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise OSError(f"cannot write {path}: not a file name in a writable directory")
+
+
 def _run_table1(cfg: argparse.Namespace) -> str:
     scenario = LinearScenario(cov_shift_scale=cfg.cov_shift_scale)
     rows = run_table_linear(
@@ -243,6 +251,8 @@ def main(argv: list[str] | None = None) -> int:
             for name, ok, detail in results:
                 print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
             return 0 if all(ok for _, ok, _ in results) else 1
+        if cfg.out is not None:
+            _check_out(cfg.out)
         runners = {
             "table1": _run_table1,
             "table2": _run_table2,

@@ -30,7 +30,6 @@ import numpy as np
 
 from .conformal import interval_from_scores
 from .linalg import least_squares
-from .rng import RngStream, as_generator
 from .scenarios import LinearScenario, gen_linear
 
 
@@ -127,7 +126,7 @@ def width_ordering_trial(
     scenario: LinearScenario,
     n: int,
     alpha: float,
-    rng: RngStream | np.random.Generator,
+    rng: np.random.Generator,
 ) -> tuple[float, float]:
     """One paired draw of interval widths: full model versus drop-last submodel.
 
@@ -136,8 +135,7 @@ def width_ordering_trial(
     ordering of the two widths is the cleanest. Returns
     ``(width_full, width_submodel)`` at level ``alpha``.
     """
-    gen = as_generator(rng)
-    dataset, _ = gen_linear(scenario, iid=True, rng=gen, n_train=n, n_test=0)
+    dataset, _ = gen_linear(scenario, iid=True, rng=rng, n_train=n, n_test=0)
     ones = np.ones((n, 1))
     X = np.hstack([ones, dataset.X])
     Z = X[:, :2]

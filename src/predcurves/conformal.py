@@ -22,12 +22,11 @@ dataset and reused for every test covariate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .quantiles import order_stat_index, order_stat_quantile
-from .rng import RngStream, as_generator
+from .quantiles import order_stat_index
 
 
 @dataclass(frozen=True)
@@ -87,32 +86,13 @@ class LooEnsemble:
         return self.prediction_matrix(X_new) + self.loo_residuals[:, None]
 
 
-@dataclass(frozen=True)
-class PredictiveResult:
-    """Conformal scores for one test covariate, with a cached sorted view."""
-
-    scores: np.ndarray
-    sorted_scores: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=float)
-        if not np.all(np.isfinite(scores)):
-            raise ValueError("scores must be finite")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "sorted_scores", np.sort(scores))
-
-    @property
-    def n(self) -> int:
-        return self.scores.size
-
-
 def require_loo_rows(dataset: Dataset) -> None:
     """Jackknife-plus needs at least 3 training rows, on every scoring path."""
     if dataset.n < 3:
         raise ValueError("conformal prediction needs at least 3 training rows")
 
 
-def build_loo_ensemble(dataset: Dataset, learner, rng: RngStream | np.random.Generator) -> LooEnsemble:
+def build_loo_ensemble(dataset: Dataset, learner, rng: np.random.Generator) -> LooEnsemble:
     """Fit the n leave-one-out models and collect leave-one-out residuals.
 
     Learners that expose ``fit_loo(dataset, rng)`` (e.g. batched neural-net
@@ -121,13 +101,12 @@ def build_loo_ensemble(dataset: Dataset, learner, rng: RngStream | np.random.Gen
     fold, so fold order and parallel schedules cannot change results.
     """
     require_loo_rows(dataset)
-    gen = as_generator(rng)
     if hasattr(learner, "fit_loo"):
-        models = list(learner.fit_loo(dataset, gen))
+        models = list(learner.fit_loo(dataset, rng))
         if len(models) != dataset.n:
             raise RuntimeError("fit_loo returned the wrong number of models")
     else:
-        substreams = gen.spawn(dataset.n)
+        substreams = rng.spawn(dataset.n)
         models = []
         for i in range(dataset.n):
             try:
@@ -140,19 +119,20 @@ def build_loo_ensemble(dataset: Dataset, learner, rng: RngStream | np.random.Gen
     return LooEnsemble(models=tuple(models), loo_residuals=residuals)
 
 
-def predictive_cdf(result: PredictiveResult, y):
-    """Fraction of scores at or below ``y`` (scalar or array): the predictive distribution."""
-    return np.searchsorted(result.sorted_scores, y, side="right") / result.n
+def predictive_cdf(scores: np.ndarray, y):
+    """Fraction of the (n,) scores at or below ``y`` (scalar or array): the predictive law Q."""
+    s = np.sort(np.asarray(scores, dtype=float))
+    return np.searchsorted(s, y, side="right") / s.size
 
 
-def predictive_curve(result: PredictiveResult, y):
+def predictive_curve(scores: np.ndarray, y):
     """Two-sided curve ``2 min(Q(y), 1 - Q(y))``, in [0, 1]; scalar or array ``y``.
 
     Level sets ``{y : PV(y) >= alpha}`` stack the two-sided predictive
     intervals of every level; the peak marks a median-unbiased point
     prediction.
     """
-    q = predictive_cdf(result, y)
+    q = predictive_cdf(scores, y)
     return 2.0 * np.minimum(q, 1.0 - q)
 
 
@@ -177,13 +157,8 @@ def interval_from_scores(
     return lower, upper, n * alpha / 2.0 < 1.0
 
 
-def median_point_prediction(result: PredictiveResult) -> float:
-    """Median of the scores: the left endpoint of the curve's peak region."""
-    return order_stat_quantile(result.scores, 0.5)
-
-
-def curve_grid(result: PredictiveResult, points: int) -> np.ndarray:
-    """Predictive-curve evaluations on a grid; rows are ``(y, PV(y))``.
+def curve_grid(scores: np.ndarray, points: int) -> np.ndarray:
+    """Predictive-curve evaluations of the (n,) ``scores`` on a grid; rows are ``(y, PV(y))``.
 
     The grid spans the score range padded by 10 percent on each side and
     additionally evaluates just below, at, and just above every score so
@@ -191,11 +166,13 @@ def curve_grid(result: PredictiveResult, points: int) -> np.ndarray:
     """
     if points < 2:
         raise ValueError("points must be at least 2")
-    s = result.sorted_scores
+    s = np.sort(np.asarray(scores, dtype=float))
+    if not np.all(np.isfinite(s)):
+        raise ValueError("scores must be finite")
     span = s[-1] - s[0]
     pad = 0.1 * span if span > 0 else 0.1
     base = np.linspace(s[0] - pad, s[-1] + pad, points)
     eps = 1e-9 * max(1.0, float(np.max(np.abs(s))))
     ys = np.unique(np.concatenate([base, s - eps, s, s + eps]))
-    pv = predictive_curve(result, ys)
+    pv = predictive_curve(s, ys)
     return np.column_stack([ys, pv])

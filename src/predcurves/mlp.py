@@ -29,7 +29,6 @@ from itertools import permutations
 import numpy as np
 
 from .conformal import Dataset
-from .rng import RngStream, as_generator
 
 _MIN_STEP = 1e-15
 _MOMENTUM = 0.9
@@ -93,10 +92,8 @@ def _forward(params: list, X: np.ndarray) -> tuple[list, np.ndarray]:
     return acts, h[..., 0]
 
 
-def _sse(out: np.ndarray, y: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    r = out - y
-    if mask is not None:
-        r = r * mask
+def _sse(out: np.ndarray, y: np.ndarray, mask: np.ndarray | float) -> np.ndarray:
+    r = (out - y) * mask
     return np.einsum("bn,bn->b", r, r)
 
 
@@ -106,7 +103,7 @@ def _gradients(
     y: np.ndarray,
     acts: list,
     out: np.ndarray,
-    mask: np.ndarray | None,
+    mask: np.ndarray | float,
 ) -> list:
     """Backpropagated gradient of the total squared error.
 
@@ -114,9 +111,7 @@ def _gradients(
     where its activation is positive, which is exactly where its
     preactivation is, so the ReLU subgradient at zero is taken as zero.
     """
-    r = out - y
-    if mask is not None:
-        r = r * mask
+    r = (out - y) * mask
     delta = (2.0 * r)[..., None] * (acts[-1] > 0)
     grads: list = [None] * len(params)
     for layer in range(len(params) - 1, -1, -1):
@@ -132,14 +127,14 @@ def train_batched(
     config: TrainerConfig,
     X: np.ndarray,
     y: np.ndarray,
-    rng: RngStream | np.random.Generator,
-    fold_masks: np.ndarray | None = None,
+    rng: np.random.Generator,
+    fold_masks: np.ndarray,
 ) -> tuple[list, np.ndarray, np.ndarray]:
     """Train ``folds x restarts`` networks simultaneously.
 
     fold_masks
-        Optional (F, n) 0/1 array; fold f trains only on rows with mask 1.
-        ``None`` means a single fold using every row.
+        (F, n) 0/1 array; fold f trains only on rows with mask 1. A
+        single fold on every row is ``np.ones((1, n))``.
 
     Returns ``(params, losses, restart_losses)`` where ``params`` is a list
     of arrays with a leading fold axis (layer l has shape (F, out, in))
@@ -158,17 +153,14 @@ def train_batched(
     each working network to its row there, so only the rows of rejected
     networks are ever copied.
     """
-    gen = as_generator(rng)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n_folds = 1 if fold_masks is None else fold_masks.shape[0]
+    n_folds = fold_masks.shape[0]
     n_restarts = config.restarts
     batch = n_folds * n_restarts
 
-    params = _init_params(arch, gen, batch)
-    mask = None
-    if fold_masks is not None:
-        mask = np.repeat(np.asarray(fold_masks, dtype=float), n_restarts, axis=0)
+    params = _init_params(arch, rng, batch)
+    mask = np.repeat(np.asarray(fold_masks, dtype=float), n_restarts, axis=0)
 
     final_params = [np.empty_like(W) for W in params]
     final_loss = np.empty(batch)
@@ -193,8 +185,7 @@ def train_batched(
         out = out[keep]
         loss = loss[keep]
         step = step[keep]
-        if mask is not None:
-            mask = mask[keep]
+        mask = mask[keep]
 
     for _ in range(config.max_iterations):
         grads = _gradients(params, X, y, acts, out, mask)
@@ -317,12 +308,14 @@ class MlpLearner:
             )
         return X
 
-    def fit(self, dataset: Dataset, rng: RngStream | np.random.Generator) -> MlpModel:
+    def fit(self, dataset: Dataset, rng: np.random.Generator) -> MlpModel:
         X = self._inputs(dataset)
-        best, _, _ = train_batched(self.architecture, self.trainer, X, dataset.y, rng)
+        best, _, _ = train_batched(
+            self.architecture, self.trainer, X, dataset.y, rng, fold_masks=np.ones((1, dataset.n))
+        )
         return MlpModel([W[0] for W in best], self.input_indices)
 
-    def fit_loo(self, dataset: Dataset, rng: RngStream | np.random.Generator) -> list[MlpModel]:
+    def fit_loo(self, dataset: Dataset, rng: np.random.Generator) -> list[MlpModel]:
         """All n leave-one-out fits, trained as one batch of networks."""
         X = self._inputs(dataset)
         masks = 1.0 - np.eye(dataset.n)

@@ -1,11 +1,13 @@
 """Reproducible random streams.
 
-Every stochastic entry point in this package takes either an
-:class:`RngStream` or a ``numpy.random.Generator``. Streams are values,
-not stateful objects: the pair ``(seed, stream)`` fully determines the
-draw sequence, on any host and under any execution schedule. Monte Carlo
-repetitions use ``stream = rep index`` so that running repetitions in a
-different order (or in parallel) can never change results.
+Every stochastic entry point in this package takes a
+``numpy.random.Generator``. :class:`RngStream` makes them, and
+:func:`labeled_generator` keys one per consumer of a stream. Streams
+are values, not stateful objects: the pair
+``(seed, stream)`` fully determines the draw sequence, on any host and
+under any execution schedule. Monte Carlo repetitions use
+``stream = rep index`` so that running repetitions in a different order
+(or in parallel) can never change results.
 
 The backing bit generator is Philox 4x64, a counter-based generator, keyed
 through ``numpy.random.SeedSequence(entropy=seed, spawn_key=(stream,))``.
@@ -34,15 +36,6 @@ class RngStream:
         """
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.Philox(ss))
-
-
-def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    """Accept a stream handle or an already-running generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
 def labeled_generator(seed: int, stream: int, label: str) -> np.random.Generator:

@@ -8,20 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rng import RngStream, as_generator
-
 
 def sample_mvn(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    rng: RngStream | np.random.Generator,
-    size: int | None = None,
+    mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Multivariate normal draws via the lower Cholesky factor.
+    """``size`` multivariate normal draws via the lower Cholesky factor; shape ``(size, d)``.
 
     Each draw is ``mean + L z`` with ``L L^T = cov`` and ``z`` standard
-    normal. Returns shape ``(d,)`` when ``size`` is None, else
-    ``(size, d)``.
+    normal.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -33,21 +27,14 @@ def sample_mvn(
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance not positive definite") from exc
-    gen = as_generator(rng)
-    if size is None:
-        z = gen.standard_normal(mean.size)
-        return mean + chol @ z
-    z = gen.standard_normal((size, mean.size))
+    z = rng.standard_normal((size, mean.size))
     return mean + z @ chol.T
 
 
 def sample_noncentral_t(
-    df: float,
-    ncp: float,
-    rng: RngStream | np.random.Generator,
-    size: int | tuple[int, ...] | None = None,
-) -> float | np.ndarray:
-    """Noncentral t draws built as ``(Z + ncp) / sqrt(V / df)``.
+    df: float, ncp: float, rng: np.random.Generator, size: int | tuple[int, ...]
+) -> np.ndarray:
+    """Noncentral t draws of shape ``size``, built as ``(Z + ncp) / sqrt(V / df)``.
 
     ``Z`` is standard normal and ``V`` chi-square with ``df`` degrees of
     freedom, drawn independently in that order (all ``Z`` first, then all
@@ -55,8 +42,6 @@ def sample_noncentral_t(
     """
     if df <= 0:
         raise ValueError(f"df must be positive, got {df}")
-    gen = as_generator(rng)
-    z = gen.standard_normal(size)
-    v = gen.chisquare(df, size)
-    out = (z + ncp) / np.sqrt(v / df)
-    return float(out) if size is None else out
+    z = rng.standard_normal(size)
+    v = rng.chisquare(df, size)
+    return (z + ncp) / np.sqrt(v / df)

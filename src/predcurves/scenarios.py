@@ -32,7 +32,6 @@ import numpy as np
 
 from .conformal import Dataset
 from .mlp import MlpArchitecture, _forward
-from .rng import RngStream, as_generator
 from .sampling import sample_mvn, sample_noncentral_t
 
 
@@ -135,31 +134,30 @@ class NnScenario:
 def gen_linear(
     scenario: LinearScenario,
     iid: bool,
-    rng: RngStream | np.random.Generator,
+    rng: np.random.Generator,
     n_train: int | None = None,
     n_test: int = 1,
 ) -> tuple[Dataset, tuple[np.ndarray, np.ndarray]]:
     """Training set plus test pairs under the linear scenario."""
-    gen = as_generator(rng)
     n = scenario.n_train if n_train is None else n_train
     sigma = np.sqrt(scenario.sigma2)
-    X = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, gen, size=n)
-    y = scenario.mean_response(X) + sigma * gen.standard_normal(n)
+    X = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, rng, size=n)
+    y = scenario.mean_response(X) + sigma * rng.standard_normal(n)
     if n_test == 0:
         empty = np.empty((0, 2)), np.empty(0)
         return Dataset(X, y), empty
     if iid:
-        X_test = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, gen, size=n_test)
+        X_test = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, rng, size=n_test)
     else:
-        X_test = sample_mvn(scenario.mu_shifted, scenario.cov_shift, gen, size=n_test)
-    y_test = scenario.mean_response(X_test) + sigma * gen.standard_normal(n_test)
+        X_test = sample_mvn(scenario.mu_shifted, scenario.cov_shift, rng, size=n_test)
+    y_test = scenario.mean_response(X_test) + sigma * rng.standard_normal(n_test)
     return Dataset(X, y), (X_test, y_test)
 
 
 def gen_nn(
     scenario: NnScenario,
     iid: bool,
-    rng: RngStream | np.random.Generator,
+    rng: np.random.Generator,
     n_train: int | None = None,
     n_test: int = 1,
 ) -> tuple[Dataset, tuple[np.ndarray, np.ndarray]]:
@@ -168,17 +166,16 @@ def gen_nn(
     The shifted test covariates are ``(T1, T2, T3)`` with independent
     noncentral-t components (df, noncentrality from the scenario).
     """
-    gen = as_generator(rng)
     n = scenario.n_train if n_train is None else n_train
     sigma = np.sqrt(scenario.sigma2)
-    X = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, gen, size=n)
-    y = scenario.mean_response(X) + sigma * gen.standard_normal(n)
+    X = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, rng, size=n)
+    y = scenario.mean_response(X) + sigma * rng.standard_normal(n)
     if n_test == 0:
         empty = np.empty((0, 3)), np.empty(0)
         return Dataset(X, y), empty
     if iid:
-        X_test = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, gen, size=n_test)
+        X_test = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, rng, size=n_test)
     else:
-        X_test = sample_noncentral_t(scenario.t_df, scenario.t_ncp, gen, size=(n_test, 3))
-    y_test = scenario.mean_response(X_test) + sigma * gen.standard_normal(n_test)
+        X_test = sample_noncentral_t(scenario.t_df, scenario.t_ncp, rng, size=(n_test, 3))
+    y_test = scenario.mean_response(X_test) + sigma * rng.standard_normal(n_test)
     return Dataset(X, y), (X_test, y_test)

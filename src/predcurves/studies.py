@@ -24,7 +24,6 @@ from scipy.special import ndtr
 from .closed_form import closed_form_scores
 from .conformal import (
     Dataset,
-    PredictiveResult,
     build_loo_ensemble,
     curve_grid,
     interval_from_scores,
@@ -371,7 +370,7 @@ def export_curves(
     fit_streams = gen.spawn(len(specs))
     for spec, sub in zip(specs, fit_streams):
         scores = score_matrix(dataset, spec.learner, point[None, :], sub)[:, 0]
-        grid = curve_grid(PredictiveResult(scores), grid_points)
+        grid = curve_grid(scores, grid_points)
         rows.extend((spec.label, float(y), float(pv)) for y, pv in grid)
     mu_new = float(scenario.mean_response(point[None, :])[0])
     rows.extend(oracle_curve_rows(mu_new, float(np.sqrt(scenario.sigma2)), grid_points))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .closed_form import closed_form_scores
-from .conformal import Dataset, LooEnsemble, PredictiveResult, build_loo_ensemble, curve_grid
+from .conformal import Dataset, LooEnsemble, build_loo_ensemble, curve_grid
 from .gaussian_toy import GaussianToySample, predictive_curve_toy
 from .learners import FeatureMap, FixedRuleLearner, OlsLearner
 from .linalg import least_squares
@@ -34,7 +34,7 @@ def refit_ensemble(X: np.ndarray, y: np.ndarray) -> LooEnsemble:
     rebuilds exactly from the remaining columns.
     """
     learner = OlsLearner(FeatureMap("linear", input_dim=X.shape[1] - 1))
-    return build_loo_ensemble(Dataset(X[:, 1:], y), learner, RngStream(0))
+    return build_loo_ensemble(Dataset(X[:, 1:], y), learner, RngStream(0).generator())
 
 
 def refit_gap(X: np.ndarray, y: np.ndarray, X_new: np.ndarray) -> float:
@@ -81,15 +81,15 @@ def gradient_error(gen: np.random.Generator, instances: int) -> float:
         if min(np.min(np.abs(pre1)), np.min(np.abs(pre2))) < 1e-3:
             continue
         checked += 1
-        grads = _gradients(params, X, y, *_forward(params, X), None)
+        grads = _gradients(params, X, y, *_forward(params, X), 1.0)
         for layer, grad in enumerate(grads):
             for idx in np.ndindex(grad.shape):
                 plus = [W.copy() for W in params]
                 minus = [W.copy() for W in params]
                 plus[layer][idx] += step
                 minus[layer][idx] -= step
-                loss_plus = _sse(_forward(plus, X)[1], y, None)[0]
-                loss_minus = _sse(_forward(minus, X)[1], y, None)[0]
+                loss_plus = _sse(_forward(plus, X)[1], y, 1.0)[0]
+                loss_minus = _sse(_forward(minus, X)[1], y, 1.0)[0]
                 fd = (loss_plus - loss_minus) / (2 * step)
                 denom = max(abs(fd), abs(grad[idx]), 1e-8)
                 errors.append(abs(fd - grad[idx]) / denom)
@@ -99,10 +99,10 @@ def gradient_error(gen: np.random.Generator, instances: int) -> float:
 def toy_gap(y: np.ndarray, points: int) -> float:
     """Sup gap between the conformal and the analytic Gaussian curve of ``y`` on a grid."""
     learner = OlsLearner(FeatureMap("intercept", input_dim=1))
-    ensemble = build_loo_ensemble(Dataset(np.zeros((y.size, 1)), y), learner, RngStream(0))
-    result = PredictiveResult(ensemble.scores(np.zeros((1, 1)))[:, 0])
+    dataset = Dataset(np.zeros((y.size, 1)), y)
+    ensemble = build_loo_ensemble(dataset, learner, RngStream(0).generator())
     toy = GaussianToySample.from_data(y)
-    ys, pv = curve_grid(result, points).T
+    ys, pv = curve_grid(ensemble.scores(np.zeros((1, 1)))[:, 0], points).T
     return float(np.max(np.abs(pv - predictive_curve_toy(toy, ys))))
 
 

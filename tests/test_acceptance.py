@@ -141,12 +141,12 @@ def test_criterion_4_width_ordering():
     scenario = LinearScenario()
     wider = 0
     for rep in range(200):
-        w_full, w_sub = width_ordering_trial(scenario, 300, 0.05, RngStream(1004, rep))
+        w_full, w_sub = width_ordering_trial(scenario, 300, 0.05, RngStream(1004, rep).generator())
         wider += int(w_sub > w_full)
     frac = wider / 200
     full, sub = [], []
     for rep in range(50):
-        w_full, w_sub = width_ordering_trial(scenario, 2000, 0.05, RngStream(1005, rep))
+        w_full, w_sub = width_ordering_trial(scenario, 2000, 0.05, RngStream(1005, rep).generator())
         full.append(w_full)
         sub.append(w_sub)
     z975 = ndtri(0.975)

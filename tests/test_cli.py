@@ -176,6 +176,20 @@ class TestMainExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "command", ["table1 --reps 200", "table2", "table3 --scale paper", "curves --scenario nn"]
+    )
+    def test_unwritable_path_refused_before_the_study(self, monkeypatch, tmp_path, capsys, command):
+        calls = []
+        for name in ("run_table_linear", "run_param_mse_study", "run_table_nn", "export_curves"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args))
+        out = tmp_path / "missing" / "t.csv"
+        for path in (out, tmp_path):
+            assert main([*command.split(), "--seed", "1", "--out", str(path)]) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+        assert not out.parent.exists()
+
     def test_verify_runs_clean(self, capsys):
         assert main(["verify", "--seed", "0"]) == 0
         out = capsys.readouterr().out
@@ -208,10 +222,12 @@ class TestMainExitCodes:
             (["toy-curves", "--theta", "nan"], "sample mean must be finite"),
             (["toy-curves", "--theta", "inf"], "sample mean must be finite"),
             (["toy-curves", "--theta", "1e308"], "sample mean must be finite"),
+            (["table1", "--rep", "3"], "unrecognized arguments"),  # not read as --reps
+            (["table1", "--n", "3"], "unrecognized arguments"),  # not read as --n-train
         ],
         ids=[
             "x-new-dim", "x-new-nan", "table3-depth", "curves-depth", "n-train-2", "leverage-one",
-            "theta-nan", "theta-inf", "theta-1e308",
+            "theta-nan", "theta-inf", "theta-1e308", "abbrev-rep", "abbrev-n",
         ],
     )
     def test_inputs_the_method_cannot_handle_exit_2(self, capsys, argv, message):

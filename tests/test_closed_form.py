@@ -179,7 +179,7 @@ class TestWidthOrdering:
         wider = 0
         trials = 60
         for rep in range(trials):
-            w_full, w_sub = width_ordering_trial(scenario, 300, 0.05, RngStream(104, rep))
+            w_full, w_sub = width_ordering_trial(scenario, 300, 0.05, RngStream(104, rep).generator())
             wider += int(w_sub > w_full)
         assert wider / trials >= 0.95
 
@@ -187,7 +187,7 @@ class TestWidthOrdering:
         scenario = LinearScenario(beta=(-1.0, 2.0, 0.0))
         ratios = []
         for rep in range(60):
-            w_full, w_sub = width_ordering_trial(scenario, 300, 0.05, RngStream(105, rep))
+            w_full, w_sub = width_ordering_trial(scenario, 300, 0.05, RngStream(105, rep).generator())
             ratios.append(w_sub / w_full)
         assert 0.9 <= np.median(ratios) <= 1.1
 
@@ -196,7 +196,7 @@ class TestWidthOrdering:
         z975 = ndtri(0.975)
         full, sub = [], []
         for rep in range(25):
-            w_full, w_sub = width_ordering_trial(scenario, 2000, 0.05, RngStream(106, rep))
+            w_full, w_sub = width_ordering_trial(scenario, 2000, 0.05, RngStream(106, rep).generator())
             full.append(w_full)
             sub.append(w_sub)
         sigma_sub = np.sqrt(1.0 + 4.0 * 0.375)  # residual sd of the dropped covariate model

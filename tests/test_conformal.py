@@ -5,15 +5,14 @@ import pytest
 
 from predcurves.conformal import (
     Dataset,
-    PredictiveResult,
     build_loo_ensemble,
     curve_grid,
     interval_from_scores,
-    median_point_prediction,
     predictive_cdf,
     predictive_curve,
 )
 from predcurves.learners import FeatureMap, FixedRuleLearner, OlsLearner
+from predcurves.quantiles import order_stat_quantile
 from predcurves.rng import RngStream
 
 MEAN_LEARNER = OlsLearner(FeatureMap("intercept", input_dim=1))
@@ -22,10 +21,6 @@ MEAN_LEARNER = OlsLearner(FeatureMap("intercept", input_dim=1))
 def _toy_dataset(y):
     y = np.asarray(y, dtype=float)
     return Dataset(np.zeros((y.size, 1)), y)
-
-
-def _result(scores):
-    return PredictiveResult(scores=np.asarray(scores, dtype=float))
 
 
 class TestDataset:
@@ -40,7 +35,7 @@ class TestDataset:
     def test_engine_needs_three_rows(self):
         ds = Dataset(np.zeros((2, 1)), np.zeros(2))
         with pytest.raises(ValueError, match="at least 3"):
-            build_loo_ensemble(ds, MEAN_LEARNER, RngStream(0))
+            build_loo_ensemble(ds, MEAN_LEARNER, RngStream(0).generator())
 
     def test_drop_row(self):
         ds = Dataset(np.arange(8.0).reshape(4, 2), np.arange(4.0))
@@ -51,15 +46,15 @@ class TestDataset:
 class TestLooEnsemble:
     def test_mean_learner_hand_computed(self):
         ds = _toy_dataset([1.0, 2.0, 3.0])
-        ens = build_loo_ensemble(ds, MEAN_LEARNER, RngStream(0))
+        ens = build_loo_ensemble(ds, MEAN_LEARNER, RngStream(0).generator())
         np.testing.assert_allclose(ens.loo_residuals, [-1.5, 0.0, 1.5], atol=1e-12)
 
     def test_scores_equal_responses_for_mean_learner(self):
         ds = _toy_dataset([1.0, 2.0, 3.0])
-        ens = build_loo_ensemble(ds, MEAN_LEARNER, RngStream(0))
-        result = _result(ens.scores(np.zeros((1, 1)))[:, 0])
-        np.testing.assert_allclose(np.sort(result.scores), [1.0, 2.0, 3.0], atol=1e-12)
-        assert median_point_prediction(result) == pytest.approx(2.0)
+        ens = build_loo_ensemble(ds, MEAN_LEARNER, RngStream(0).generator())
+        scores = ens.scores(np.zeros((1, 1)))[:, 0]
+        np.testing.assert_allclose(np.sort(scores), [1.0, 2.0, 3.0], atol=1e-12)
+        assert order_stat_quantile(scores, 0.5) == pytest.approx(2.0)
 
     def test_zero_learner_scores_are_responses(self):
         gen = RngStream(5).generator()
@@ -85,7 +80,7 @@ class TestLooEnsemble:
     def test_duplicated_rows_fine(self):
         X = np.array([[1.0], [1.0], [2.0], [2.0]])
         y = np.array([1.0, 1.0, 2.0, 2.0])
-        ens = build_loo_ensemble(Dataset(X, y), MEAN_LEARNER, RngStream(0))
+        ens = build_loo_ensemble(Dataset(X, y), MEAN_LEARNER, RngStream(0).generator())
         assert ens.n == 4
 
     def test_failing_fit_names_index(self):
@@ -95,7 +90,7 @@ class TestLooEnsemble:
 
         ds = _toy_dataset([1.0, 2.0, 3.0])
         with pytest.raises(RuntimeError, match="omitted index 0"):
-            build_loo_ensemble(ds, Exploder(), RngStream(0))
+            build_loo_ensemble(ds, Exploder(), RngStream(0).generator())
 
     def test_translation_equivariance_with_intercept(self):
         gen = RngStream(17).generator()
@@ -115,16 +110,16 @@ class TestLooEnsemble:
 
 class TestPredictiveCdf:
     def test_below_all_scores(self):
-        assert predictive_cdf(_result([1, 2, 3]), 0.5) == 0.0
+        assert predictive_cdf([1, 2, 3], 0.5) == 0.0
 
     def test_above_all_scores(self):
-        assert predictive_cdf(_result([1, 2, 3]), 3.0) == 1.0
+        assert predictive_cdf([1, 2, 3], 3.0) == 1.0
 
     def test_tie_counts_with_geq(self):
-        assert predictive_cdf(_result([1, 2, 3]), 2.0) == pytest.approx(2.0 / 3.0)
+        assert predictive_cdf([1, 2, 3], 2.0) == pytest.approx(2.0 / 3.0)
 
     def test_right_continuous_steps(self):
-        r = _result([1.0, 1.0, 2.0])
+        r = [1.0, 1.0, 2.0]
         eps = 1e-12
         assert predictive_cdf(r, 1.0 - eps) == 0.0
         assert predictive_cdf(r, 1.0) == pytest.approx(2.0 / 3.0)  # multiplicity 2
@@ -132,7 +127,7 @@ class TestPredictiveCdf:
 
     def test_nondecreasing(self):
         gen = np.random.default_rng(3)
-        r = _result(gen.standard_normal(19))
+        r = gen.standard_normal(19)
         ys = np.sort(gen.standard_normal(100))
         qs = [predictive_cdf(r, y) for y in ys]
         assert np.all(np.diff(qs) >= 0)
@@ -140,20 +135,20 @@ class TestPredictiveCdf:
 
 class TestPredictiveCurve:
     def test_below_scores_is_zero(self):
-        assert predictive_curve(_result([1, 2, 3]), 0.0) == 0.0
+        assert predictive_curve([1, 2, 3], 0.0) == 0.0
 
     def test_middle_reaches_one(self):
-        assert predictive_curve(_result([1, 2, 3, 4]), 2.5) == pytest.approx(1.0)
+        assert predictive_curve([1, 2, 3, 4], 2.5) == pytest.approx(1.0)
 
     def test_symmetry_for_symmetric_scores(self):
-        r = _result([-2.0, -1.0, 1.0, 2.0])
+        r = [-2.0, -1.0, 1.0, 2.0]
         for delta in (0.3, 1.2, 1.7):
             assert predictive_curve(r, delta) == pytest.approx(predictive_curve(r, -delta))
 
     def test_array_call_equals_scalar_calls(self):
         gen = np.random.default_rng(4)
-        r = _result(np.round(gen.standard_normal(23), 1))  # rounded: ties present
-        ys = np.concatenate([gen.standard_normal(50), r.scores, [-np.inf, np.inf]])
+        r = np.round(gen.standard_normal(23), 1)  # rounded: ties present
+        ys = np.concatenate([gen.standard_normal(50), r, [-np.inf, np.inf]])
         for fn in (predictive_cdf, predictive_curve):
             values = fn(r, ys)
             assert values.shape == ys.shape
@@ -187,9 +182,9 @@ class TestPredictiveInterval:
 
     def test_duality_with_curve(self):
         gen = np.random.default_rng(8)
-        r = _result(gen.standard_normal(41))  # continuous draws: tie free
+        r = gen.standard_normal(41)  # continuous draws: tie free
         for alpha in (0.1, 0.25):
-            lower, upper, _ = interval_from_scores(r.scores, alpha)
+            lower, upper, _ = interval_from_scores(r, alpha)
             grid = curve_grid(r, 301)
             inside = grid[(grid[:, 0] > lower) & (grid[:, 0] < upper)]
             assert np.all(inside[:, 1] >= alpha - 1e-12)
@@ -222,25 +217,25 @@ class TestMatrixInterval:
 
 class TestMedianPointPrediction:
     def test_odd(self):
-        assert median_point_prediction(_result([3, 1, 2])) == 2.0
+        assert order_stat_quantile([3, 1, 2], 0.5) == 2.0
 
     def test_even_left_of_peak(self):
-        assert median_point_prediction(_result([1, 2, 3, 4])) == 2.0
+        assert order_stat_quantile([1, 2, 3, 4], 0.5) == 2.0
 
 
 class TestCurveGrid:
     def test_end_points_have_zero_curve(self):
-        grid = curve_grid(_result([1.0, 2.0, 5.0]), 50)
+        grid = curve_grid([1.0, 2.0, 5.0], 50)
         assert grid[0, 1] == 0.0
         assert grid[-1, 1] == 0.0
 
     def test_peak_positive_and_bounded(self):
-        grid = curve_grid(_result(np.random.default_rng(1).standard_normal(15)), 80)
+        grid = curve_grid(np.random.default_rng(1).standard_normal(15), 80)
         assert 0.0 < grid[:, 1].max() <= 1.0
 
     def test_grid_sorted_and_step_structure(self):
         scores = np.array([0.0, 1.0, 3.0])
-        grid = curve_grid(_result(scores), 40)
+        grid = curve_grid(scores, 40)
         ys, pv = grid[:, 0], grid[:, 1]
         assert np.all(np.diff(ys) > 0)
         # piecewise constant between adjacent scores
@@ -249,4 +244,9 @@ class TestCurveGrid:
 
     def test_points_domain(self):
         with pytest.raises(ValueError):
-            curve_grid(_result([1.0, 2.0, 3.0]), 1)
+            curve_grid([1.0, 2.0, 3.0], 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            curve_grid(np.array([1.0, bad, 3.0]), 50)

@@ -3,7 +3,6 @@ import pytest
 from scipy import stats
 from scipy.special import ndtri
 
-from predcurves.conformal import Dataset, PredictiveResult, build_loo_ensemble, curve_grid
 from predcurves.gaussian_toy import (
     GaussianToySample,
     confidence_cdf,
@@ -11,8 +10,8 @@ from predcurves.gaussian_toy import (
     predictive_cdf_toy,
     predictive_curve_toy,
 )
-from predcurves.learners import FeatureMap, OlsLearner
 from predcurves.rng import RngStream
+from predcurves.verify import toy_gap
 
 
 def _sample(ybar=1.35, n=5):
@@ -112,14 +111,5 @@ class TestArrayCalls:
 
 class TestConformalConsistency:
     def test_conformal_curve_approaches_analytic(self):
-        n = 2000
-        gen = RngStream(201, 0).generator()
-        y = 0.5 + gen.standard_normal(n)
-        dataset = Dataset(np.zeros((n, 1)), y)
-        learner = OlsLearner(FeatureMap("intercept", input_dim=1))
-        ensemble = build_loo_ensemble(dataset, learner, gen)
-        result = PredictiveResult(ensemble.scores(np.zeros((1, 1)))[:, 0])
-        toy = GaussianToySample.from_data(y)
-        grid = curve_grid(result, 300)
-        sup = max(abs(pv - predictive_curve_toy(toy, yy)) for yy, pv in grid)
-        assert sup < 0.05
+        y = 0.5 + RngStream(201, 0).generator().standard_normal(2000)
+        assert toy_gap(y, 300) < 0.05

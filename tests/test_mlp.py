@@ -34,7 +34,7 @@ def _output(params, x):
 
 def _loss(params, X, y):
     """Total squared error of each network in the batch ``params``."""
-    return _sse(_forward(params, X)[1], y, None)
+    return _sse(_forward(params, X)[1], y, 1.0)
 
 
 class TestForward:
@@ -64,7 +64,7 @@ class TestGradient:
         params = [np.array([[[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]]), np.array([[[1.0, 1.0]]])]
         X = np.ones((4, 3))  # preactivations all negative, output locked at 0
         y = np.ones(4)
-        grads = _gradients(params, X, y, *_forward(params, X), None)
+        grads = _gradients(params, X, y, *_forward(params, X), 1.0)
         for g in grads:
             np.testing.assert_array_equal(g, 0.0)
 
@@ -76,7 +76,7 @@ class TestGradient:
         X = np.abs(gen.standard_normal((8, 3))) + 0.1
         w = np.abs(gen.standard_normal((1, 3))) + 0.1  # positive row keeps preactivations > 0
         y = gen.standard_normal(8)
-        grads = _gradients([w[None]], X, y, *_forward([w[None]], X), None)
+        grads = _gradients([w[None]], X, y, *_forward([w[None]], X), 1.0)
         oracle = 2.0 * (X.T @ (X @ w[0] - y))
         np.testing.assert_allclose(grads[0][0, 0], oracle, atol=1e-10)
 
@@ -160,7 +160,7 @@ class TestTrainer:
         gen = RngStream(7, 0).generator()
         dataset, _ = gen_nn(scenario, True, gen, n_train=300, n_test=0)
         best, losses, _ = train_batched(
-            scenario.architecture, OPT_MSE, dataset.X, dataset.y, gen
+            scenario.architecture, OPT_MSE, dataset.X, dataset.y, gen, np.ones((1, 300))
         )
         refs = [canonicalize_mlp(p) for p in scenario.equivalent_true_params()]
         fitted = [W[0] for W in best]
@@ -183,7 +183,8 @@ class TestTrainer:
         init = _init_params(scenario.architecture, init_gen, 6)
         init_losses = _loss(init, dataset.X, dataset.y)
         _, _, restart_losses = train_batched(
-            scenario.architecture, config, dataset.X, dataset.y, RngStream(8, 1).generator()
+            scenario.architecture, config, dataset.X, dataset.y, RngStream(8, 1).generator(),
+            np.ones((1, 60)),
         )
         assert np.all(restart_losses[0] <= init_losses + 1e-9)
 
@@ -196,6 +197,7 @@ class TestTrainer:
             dataset.X,
             dataset.y,
             gen,
+            np.ones((1, 50)),
         )
         assert losses[0] == restart_losses[0].min()
 
@@ -203,8 +205,8 @@ class TestTrainer:
         scenario = NnScenario()
         ds, _ = gen_nn(scenario, True, RngStream(10, 0).generator(), n_train=40, n_test=0)
         learner = MlpLearner(scenario.architecture, TrainerConfig(restarts=2, max_iterations=100))
-        m1 = learner.fit(ds, RngStream(10, 1))
-        m2 = learner.fit(ds, RngStream(10, 1))
+        m1 = learner.fit(ds, RngStream(10, 1).generator())
+        m2 = learner.fit(ds, RngStream(10, 1).generator())
         for a, b in zip(m1.params, m2.params):
             np.testing.assert_array_equal(a, b)
 
@@ -214,12 +216,12 @@ class TestTrainer:
         ds, _ = gen_nn(scenario, True, RngStream(12, 0).generator(), n_train=8, n_test=0)
         config = TrainerConfig(restarts=2, max_iterations=150)
         learner = MlpLearner(scenario.architecture, config)
-        models = learner.fit_loo(ds, RngStream(12, 1))
+        models = learner.fit_loo(ds, RngStream(12, 1).generator())
         assert len(models) == 8
         X_probe = RngStream(12, 2).generator().standard_normal((5, 3))
         masks = 1.0 - np.eye(8)
         best, _, _ = train_batched(
-            scenario.architecture, config, ds.X, ds.y, RngStream(12, 1), fold_masks=masks
+            scenario.architecture, config, ds.X, ds.y, RngStream(12, 1).generator(), fold_masks=masks
         )
         for fold in (0, 3, 7):
             np.testing.assert_allclose(
@@ -239,7 +241,8 @@ class TestTrainer:
         for iterations in range(1, 21):
             config = TrainerConfig(restarts=1, max_iterations=iterations, initial_step=0.3)
             best, losses, _ = train_batched(
-                MlpArchitecture(arch), config, ds.X, ds.y, RngStream(14, 1), fold_masks=masks
+                MlpArchitecture(arch), config, ds.X, ds.y, RngStream(14, 1).generator(),
+                fold_masks=masks,
             )
             _, out = _forward(best, ds.X)
             np.testing.assert_array_equal(losses, _sse(out, ds.y, masks))
@@ -271,7 +274,7 @@ class TestTrainer:
             step = np.where(live & ~accept, 0.5 * step, step)
         final_loss = _sse(_forward(params, ds.X)[1], ds.y, masks)
         _, losses, restart_losses = train_batched(
-            arch, config, ds.X, ds.y, RngStream(15, 1), fold_masks=1.0 - np.eye(10)
+            arch, config, ds.X, ds.y, RngStream(15, 1).generator(), fold_masks=1.0 - np.eye(10)
         )
         np.testing.assert_array_equal(restart_losses.ravel(), final_loss)
 
@@ -282,7 +285,7 @@ class TestTrainer:
             TrainerConfig(restarts=1, max_iterations=50),
             input_indices=(0, 1),
         )
-        model = learner.fit(ds, RngStream(1))
+        model = learner.fit(ds, RngStream(1).generator())
         assert model.predict(ds.X).shape == (10,)
 
     def test_opt_mse_beats_single_restart_on_median(self):
