@@ -16,9 +16,10 @@ and the momentum reset. Two standard configurations are exposed:
   for an off-the-shelf fit that does not try hard to locate the optimum.
 
 Everything is batched: restarts, and optionally leave-one-out folds
-(via per-fold sample masks), train simultaneously as one tensor of
+(via per-fold sample masks), train together as stacked tensors of
 networks, which is what makes jackknife-plus with neural learners
-affordable.
+affordable. Large batches train in chunks of networks that fit a fixed
+memory budget, one chunk after another in the same buffers.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ import numpy as np
 from .conformal import Dataset
 
 _MIN_STEP = 1e-15
+# bytes of the activation and scratch buffers one chunk of networks trains in
+_CHUNK_BYTES = 16 * 2**20
 _MOMENTUM = 0.9
 _GRADIENT_TOLERANCE = 1e-6
 
@@ -78,16 +81,19 @@ def _init_params(arch: MlpArchitecture, gen: np.random.Generator, batch: int) ->
     return params
 
 
-def _forward(params: list, X: np.ndarray) -> tuple[list, np.ndarray]:
+def _forward(params: list, X: np.ndarray, bufs: list | None = None) -> tuple[list, np.ndarray]:
     """Forward pass. Returns (post-ReLU activations per layer, outputs (B, n)).
 
     Layer weights of shape (B, out, in) run a batch of B networks; 2-D
-    weights run one network and give outputs of shape (n,).
+    weights run one network and give outputs of shape (n,). ``bufs``, if
+    given, holds one array per layer of exactly the activation's shape,
+    and the activations are written there instead of into new arrays.
     """
     h = X
     acts = []
-    for W in params:
-        h = np.maximum(h @ W.swapaxes(-1, -2), 0.0)
+    for W, buf in zip(params, bufs or [None] * len(params)):
+        h = np.matmul(h, W.swapaxes(-1, -2), out=buf)
+        np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts, h[..., 0]
 
@@ -104,12 +110,16 @@ def _gradients(
     acts: list,
     out: np.ndarray,
     mask: np.ndarray | float,
+    scratch: list | None = None,
 ) -> list:
     """Backpropagated gradient of the total squared error.
 
     ``acts`` are the post-ReLU activations of ``_forward``; a unit is live
     where its activation is positive, which is exactly where its
     preactivation is, so the ReLU subgradient at zero is taken as zero.
+    ``scratch``, if given, is two flat arrays, each at least as large as
+    any activation; the backpropagated errors alternate between them
+    instead of going into new arrays.
     """
     r = (out - y) * mask
     delta = (2.0 * r)[..., None] * (acts[-1] > 0)
@@ -118,8 +128,16 @@ def _gradients(
         a_prev = X if layer == 0 else acts[layer - 1]
         grads[layer] = np.swapaxes(delta, -1, -2) @ a_prev
         if layer > 0:
-            delta = (delta @ params[layer]) * (a_prev > 0)
+            buf = None if scratch is None else scratch[layer % 2][: a_prev.size].reshape(a_prev.shape)
+            delta = np.matmul(delta, params[layer], out=buf)
+            np.multiply(delta, a_prev > 0, out=delta)
     return grads
+
+
+def _network_bytes(arch: MlpArchitecture, n: int) -> int:
+    """Bytes one network of ``arch`` on n rows takes in the chunk buffers of ``train_batched``."""
+    widths = arch.widths[1:]
+    return 8 * n * (2 * sum(widths) + 2 * max(widths))
 
 
 def train_batched(
@@ -130,7 +148,7 @@ def train_batched(
     rng: np.random.Generator,
     fold_masks: np.ndarray,
 ) -> tuple[list, np.ndarray, np.ndarray]:
-    """Train ``folds x restarts`` networks simultaneously.
+    """Train ``folds x restarts`` networks.
 
     fold_masks
         (F, n) 0/1 array; fold f trains only on rows with mask 1. A
@@ -141,33 +159,83 @@ def train_batched(
     holding each fold's best restart, ``losses`` (F,) their final losses
     and ``restart_losses`` (F, restarts) every restart's final loss.
 
-    Networks stop early when the gradient infinity-norm drops below the
-    tolerance or the step size underflows; converged networks are retired
-    from the working batch so long runs do not pay for finished restarts.
+    Every network's initial weights are drawn up front, in one draw per
+    layer over the whole fold-major batch. The networks then train in
+    chunks of consecutive networks, as many as fit ``_CHUNK_BYTES`` of
+    buffers (at least one), one chunk after another. A chunk may split a
+    fold's restarts. Networks never interact, so each one follows the same
+    trajectory, to the bit, whatever the chunk size.
 
-    Each iteration runs one forward pass, on the candidate step: its
-    activations, outputs and loss become the next iteration's for the
-    networks that accept the step, while rejected networks get their
-    current rows copied back, along with their parameters. Retiring
-    networks does not compact the carried activations; ``rows`` maps
-    each working network to its row there, so only the rows of rejected
-    networks are ever copied.
+    The buffers are allocated once per call, sized to one chunk: two sets
+    of activations, which swap roles between current and candidate every
+    iteration, and two scratch arrays for the backward pass. Each chunk's
+    final weights overwrite its initial ones.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
+    fold_masks = np.asarray(fold_masks, dtype=float)
     n_folds = fold_masks.shape[0]
     n_restarts = config.restarts
     batch = n_folds * n_restarts
+    n = X.shape[0]
 
     params = _init_params(arch, rng, batch)
-    mask = np.repeat(np.asarray(fold_masks, dtype=float), n_restarts, axis=0)
+    chunk = min(batch, max(1, _CHUNK_BYTES // _network_bytes(arch, n)))
+    widths = arch.widths[1:]
+    act_sets = [[np.empty((chunk, n, w)) for w in widths] for _ in range(2)]
+    scratch = [np.empty(chunk * n * max(widths)) for _ in range(2)]
+    final_loss = np.empty(batch)
+    for start in range(0, batch, chunk):
+        stop = min(start + chunk, batch)
+        final_loss[start:stop] = _train_chunk(
+            [W[start:stop] for W in params], X, y, fold_masks[np.arange(start, stop) // n_restarts],
+            config, act_sets, scratch,
+        )
 
-    final_params = [np.empty_like(W) for W in params]
+    restart_losses = final_loss.reshape(n_folds, n_restarts)
+    best = restart_losses.argmin(axis=1)
+    sel = np.arange(n_folds) * n_restarts + best
+    best_params = [W[sel] for W in params]
+    return best_params, final_loss[sel], restart_losses
+
+
+def _train_chunk(
+    params: list,
+    X: np.ndarray,
+    y: np.ndarray,
+    mask: np.ndarray,
+    config: TrainerConfig,
+    act_sets: list,
+    scratch: list,
+) -> np.ndarray:
+    """Train the networks ``params`` in place and return their final losses.
+
+    ``mask`` (B, n) holds each network's fold mask; ``act_sets`` and
+    ``scratch`` are ``train_batched``'s buffers, with room for at least B
+    networks.
+
+    Networks stop early when the gradient infinity-norm drops below the
+    tolerance or the step size underflows; converged networks are retired
+    from the working batch so long runs do not pay for finished restarts.
+    A retired network's weights are written back to its row of ``params``.
+
+    Each iteration runs one forward pass, on the candidate step, into the
+    activation set that is not current: its activations, outputs and loss
+    become the next iteration's for the networks that accept the step,
+    while rejected networks get their current rows copied over, along with
+    their parameters. The two sets then swap roles. Retiring networks does
+    not compact the current activations; ``rows`` maps each working
+    network to its row there, so only the rows of rejected networks are
+    ever copied.
+    """
+    final_params = params
+    batch = params[0].shape[0]
     final_loss = np.empty(batch)
     alive = np.arange(batch)
     velocity = [np.zeros_like(W) for W in params]
     step = np.full(batch, config.initial_step)
-    acts, out = _forward(params, X)
+    current, spare = act_sets
+    acts, out = _forward(params, X, [A[:batch] for A in current])
     loss = _sse(out, y, mask)
     rows = np.arange(batch)
 
@@ -188,7 +256,7 @@ def train_batched(
         mask = mask[keep]
 
     for _ in range(config.max_iterations):
-        grads = _gradients(params, X, y, acts, out, mask)
+        grads = _gradients(params, X, y, acts, out, mask, scratch)
         gmax = np.zeros(alive.size)
         for g in grads:
             gmax = np.maximum(gmax, np.abs(g).reshape(alive.size, -1).max(axis=1))
@@ -205,7 +273,7 @@ def train_batched(
             V *= _MOMENTUM
             V -= scale * g
         cand = [W + V for W, V in zip(params, velocity)]
-        cand_acts, cand_out = _forward(cand, X)
+        cand_acts, cand_out = _forward(cand, X, [A[: alive.size] for A in spare])
         cand_loss = _sse(cand_out, y, mask)
         reject = ~(cand_loss <= loss)
         if reject.any():
@@ -218,16 +286,12 @@ def train_batched(
             cand_loss[reject] = loss[reject]
             step[reject] *= 0.5
         params, acts, out, loss = cand, cand_acts, cand_out, cand_loss
+        current, spare = spare, current
         rows = np.arange(alive.size)
 
     if alive.size:
         retire(np.ones(alive.size, dtype=bool))
-
-    restart_losses = final_loss.reshape(n_folds, n_restarts)
-    best = restart_losses.argmin(axis=1)
-    sel = np.arange(n_folds) * n_restarts + best
-    best_params = [W[sel] for W in final_params]
-    return best_params, final_loss[sel], restart_losses
+    return final_loss
 
 
 def canonicalize_mlp(params: list, reference: list | None = None) -> list:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from predcurves import mlp
 from predcurves.conformal import Dataset
 from predcurves.mlp import (
     OPT_MSE,
@@ -16,6 +19,7 @@ from predcurves.mlp import (
     _forward,
     _gradients,
     _init_params,
+    _network_bytes,
     _sse,
     canonicalize_mlp,
     train_batched,
@@ -303,3 +307,56 @@ class TestTrainer:
             opt_errs.append(nearest_reference_sq_err(opt.params, refs).sum())
             single_errs.append(nearest_reference_sq_err(single.params, refs).sum())
         assert np.median(opt_errs) < np.median(single_errs)
+
+
+class TestChunks:
+    @pytest.mark.parametrize(
+        "widths, restarts", [((3, 2, 1), 3), ((3, 6, 6, 1), 2)], ids=["shallow", "depth-3"]
+    )
+    def test_chunk_size_moves_no_bit(self, widths, restarts, monkeypatch):
+        # chunks of 1 network, of 7 (which splits a fold's restarts) and of
+        # the whole batch; the large first step makes networks retire by
+        # tolerance and by step underflow at different iterations
+        arch = MlpArchitecture(widths)
+        ds, _ = gen_nn(NnScenario(), True, RngStream(16, 0).generator(), n_train=12, n_test=0)
+        config = TrainerConfig(restarts=restarts, max_iterations=200, initial_step=10.0)
+        batch = 12 * restarts
+        sizes = []
+        train_chunk = mlp._train_chunk
+
+        def spy(params, *args):
+            sizes.append(params[0].shape[0])
+            return train_chunk(params, *args)
+
+        monkeypatch.setattr(mlp, "_train_chunk", spy)
+        runs = {}
+        for per_chunk in (batch, 7, 1):
+            monkeypatch.setattr(mlp, "_CHUNK_BYTES", per_chunk * _network_bytes(arch, 12))
+            sizes.clear()
+            runs[per_chunk] = train_batched(
+                arch, config, ds.X, ds.y, RngStream(16, 1).generator(), fold_masks=1.0 - np.eye(12)
+            )
+            assert max(sizes) == per_chunk and sum(sizes) == batch
+        best, losses, restart_losses = runs[batch]
+        for per_chunk in (7, 1):
+            chunk_best, chunk_losses, chunk_restart_losses = runs[per_chunk]
+            for a, b in zip(chunk_best, best):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(chunk_losses, losses)
+            np.testing.assert_array_equal(chunk_restart_losses, restart_losses)
+
+    def test_small_budget_bounds_peak_memory(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc; a call's peak must follow
+        # the chunk budget, not the number of folds
+        arch = MlpArchitecture((3, *[20] * 7, 1))
+        ds, _ = gen_nn(NnScenario(), True, RngStream(17, 0).generator(), n_train=80, n_test=0)
+        config = TrainerConfig(restarts=1, max_iterations=3)
+        peaks = []
+        for per_chunk in (80, 4):
+            monkeypatch.setattr(mlp, "_CHUNK_BYTES", per_chunk * _network_bytes(arch, 80))
+            tracemalloc.start()
+            train_batched(arch, config, ds.X, ds.y, RngStream(17, 1).generator(), 1.0 - np.eye(80))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        whole, small = peaks
+        assert small < 0.4 * whole
