@@ -1,4 +1,4 @@
-"""Golden fingerprint: eight reference CLI runs against committed outputs.
+"""Golden fingerprint: ten reference CLI runs against committed outputs.
 
 Outputs with no neural network in them are compared byte for byte, by
 md5. Network-derived values are compared numerically instead: a trainer
@@ -11,6 +11,7 @@ record; for the network runs it is not asserted.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 import pytest
@@ -19,17 +20,20 @@ from predcurves.cli import main
 
 REFERENCE_MD5 = {
     "table1 --seed 8": "7afe626d9ab5704414f58aa4b9599182",
+    "table1 --seed 8 --format json": "849a6eda3b0336c137c757eeb9de8364",
     "table1 --seed 8 --alpha 0.025 --cov-shift-scale 1.0": "70b1fdd6226ffb73ec457885dc275639",
     "table3 --seed 1 --reps 1": "1f2b25c97a3a4a1daf1fdb6dc44132d5",
     "curves --seed 8 --scenario linear --x-new sample-mean": "eed4bf0f6436dd1df846121dbcf924e9",
     "verify --seed 0": "a03d71ab9937163dc0824d2e20338523",
     "toy-curves --seed 2": "12f3618387483e1a2dbff4df4e25f908",
     "table2 --seed 6 --scale desk": "9fafbfc31a5713de21eaa76527462b16",
+    "table2 --seed 6 --scale desk --format json": "6f61c58ff60b7856b2ff76fc8bf34fa1",
     "curves --seed 8 --scenario nn --n-train 100 --x-new sample-mean": "211db3387abe5de873b991d64f1791ed",
 }
 
 EXACT = [
     "table1 --seed 8",
+    "table1 --seed 8 --format json",
     "table1 --seed 8 --alpha 0.025 --cov-shift-scale 1.0",
     "curves --seed 8 --scenario linear --x-new sample-mean",
     "toy-curves --seed 2",
@@ -140,6 +144,17 @@ def test_table3_desk_repetition(capsys):
 def test_table2_desk(capsys):
     text = _run("table2 --seed 6 --scale desk", capsys)
     _compare_table(text, TABLE2, "mse", lambda row: True)
+
+
+def test_table2_desk_json(capsys):
+    records = json.loads(_run("table2 --seed 6 --scale desk --format json", capsys))
+    header, *ref_lines = TABLE2.splitlines()
+    assert len(records) == len(ref_lines)
+    for record, ref_line in zip(records, ref_lines):
+        assert list(record) == header.split(",")
+        estimator, parameter, mse = ref_line.split(",")
+        assert (record["estimator"], record["parameter"]) == (estimator, parameter)
+        assert record["mse"] == pytest.approx(float(mse), abs=TABLE_TOL)
 
 
 def test_nn_curves(capsys):
