@@ -44,7 +44,7 @@ from .mlp import (
     TrainerConfig,
     canonicalize_mlp,
 )
-from .quantiles import order_stat_index, order_stat_quantile
+from .quantiles import order_stat_index
 from .rng import RngStream
 from .sampling import sample_mvn, sample_noncentral_t
 from .scenarios import LinearScenario, NnScenario, ar_covariance, gen_linear, gen_nn
@@ -55,8 +55,8 @@ from .studies import (
     export_curves,
     linear_learner_specs,
     nn_learner_specs,
-    run_coverage_study,
     run_param_mse_study,
+    run_studies,
     run_table_linear,
     run_table_nn,
 )

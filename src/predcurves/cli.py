@@ -153,10 +153,12 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
         raise UsageError(f"--alpha must be in (0, 1), got {cfg.alpha}")
     if not cfg.cov_shift_scale > 0.0:
         raise UsageError(f"--cov-shift-scale must be positive, got {cfg.cov_shift_scale}")
-    for flag in ("n-train", "reps", "depth", "restarts", "grid-points", "n"):
+    for flag in ("n-train", "reps", "depth", "restarts", "n"):
         value = getattr(cfg, flag.replace("-", "_"))
         if value is not None and value < 1:
             raise UsageError(f"--{flag} must be positive")
+    if cfg.grid_points < 2:
+        raise UsageError("--grid-points must be at least 2")
     cfg.x_new = _parse_x_new(cfg.x_new)
     if cfg.command == "curves" and cfg.scenario == "linear":
         if {"scale", "depth", "restarts"} & given.keys():

@@ -5,15 +5,15 @@ the k-th smallest element with ``k = ceil(alpha * n)``, clamped to
 ``[1, n]``. No interpolation: every quantile is an element of the sample,
 so interval endpoints produced downstream are always attained scores, and
 the level sets of the empirical step function built with a ``>=``
-comparison coincide with quantile intervals.
+comparison coincide with quantile intervals. ``order_stat_index`` gives
+``k``; ``conformal.interval_from_scores`` is the one place that selects
+the element.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-
-import numpy as np
 
 
 def order_stat_index(n: int, alpha: float) -> int:
@@ -36,20 +36,3 @@ def order_stat_index(n: int, alpha: float) -> int:
     k = math.ceil(alpha * n)
     return min(max(k, 1), n)
 
-
-def order_stat_quantile(values: np.ndarray, alpha: float) -> float:
-    """k-th smallest element of ``values`` with ``k = ceil(alpha * n)``.
-
-    Deterministic under ties: sorting imposes a total order on the values
-    themselves, so tied entries give the tied value regardless of input
-    order.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError("values must be one-dimensional")
-    if values.size == 0:
-        raise ValueError("empty sample")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
-    k = order_stat_index(values.size, alpha)
-    return float(np.sort(values)[k - 1])

@@ -131,6 +131,27 @@ class NnScenario:
         return out[0]
 
 
+def _draw(
+    scenario, rng: np.random.Generator, n_train: int | None, n_test: int, shifted
+) -> tuple[Dataset, tuple[np.ndarray, np.ndarray]]:
+    """Training set plus test pairs in the fixed draw order of the module docstring.
+
+    Test covariates follow the training law, or the shifted law when
+    ``shifted`` is given: a function from a row count to that many
+    covariate rows. A zero-size draw leaves ``rng`` where it was.
+    """
+    n = scenario.n_train if n_train is None else n_train
+    sigma = np.sqrt(scenario.sigma2)
+    X = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, rng, size=n)
+    y = scenario.mean_response(X) + sigma * rng.standard_normal(n)
+    if shifted is None:
+        X_test = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, rng, size=n_test)
+    else:
+        X_test = shifted(n_test)
+    y_test = scenario.mean_response(X_test) + sigma * rng.standard_normal(n_test)
+    return Dataset(X, y), (X_test, y_test)
+
+
 def gen_linear(
     scenario: LinearScenario,
     iid: bool,
@@ -139,19 +160,11 @@ def gen_linear(
     n_test: int = 1,
 ) -> tuple[Dataset, tuple[np.ndarray, np.ndarray]]:
     """Training set plus test pairs under the linear scenario."""
-    n = scenario.n_train if n_train is None else n_train
-    sigma = np.sqrt(scenario.sigma2)
-    X = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, rng, size=n)
-    y = scenario.mean_response(X) + sigma * rng.standard_normal(n)
-    if n_test == 0:
-        empty = np.empty((0, 2)), np.empty(0)
-        return Dataset(X, y), empty
-    if iid:
-        X_test = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, rng, size=n_test)
-    else:
-        X_test = sample_mvn(scenario.mu_shifted, scenario.cov_shift, rng, size=n_test)
-    y_test = scenario.mean_response(X_test) + sigma * rng.standard_normal(n_test)
-    return Dataset(X, y), (X_test, y_test)
+
+    def shifted(size: int) -> np.ndarray:
+        return sample_mvn(scenario.mu_shifted, scenario.cov_shift, rng, size=size)
+
+    return _draw(scenario, rng, n_train, n_test, None if iid else shifted)
 
 
 def gen_nn(
@@ -166,16 +179,8 @@ def gen_nn(
     The shifted test covariates are ``(T1, T2, T3)`` with independent
     noncentral-t components (df, noncentrality from the scenario).
     """
-    n = scenario.n_train if n_train is None else n_train
-    sigma = np.sqrt(scenario.sigma2)
-    X = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, rng, size=n)
-    y = scenario.mean_response(X) + sigma * rng.standard_normal(n)
-    if n_test == 0:
-        empty = np.empty((0, 3)), np.empty(0)
-        return Dataset(X, y), empty
-    if iid:
-        X_test = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, rng, size=n_test)
-    else:
-        X_test = sample_noncentral_t(scenario.t_df, scenario.t_ncp, rng, size=(n_test, 3))
-    y_test = scenario.mean_response(X_test) + sigma * rng.standard_normal(n_test)
-    return Dataset(X, y), (X_test, y_test)
+
+    def shifted(size: int) -> np.ndarray:
+        return sample_noncentral_t(scenario.t_df, scenario.t_ncp, rng, size=(size, 3))
+
+    return _draw(scenario, rng, n_train, n_test, None if iid else shifted)

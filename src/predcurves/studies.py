@@ -149,7 +149,7 @@ def score_matrix(dataset: Dataset, learner, X_test: np.ndarray, gen) -> np.ndarr
     return build_loo_ensemble(dataset, learner, gen).scores(X_test)
 
 
-def _run_studies(
+def run_studies(
     scenario,
     specs: list[LearnerSpec],
     alpha: float,
@@ -157,9 +157,12 @@ def _run_studies(
     test_points_per_rep: int,
     seed: int,
     laws: tuple[bool, ...],
-    n_train: int | None,
+    n_train: int | None = None,
 ) -> list[MonteCarloReport]:
-    """Coverage and width of every learner under every test law (``iid`` flags).
+    """Empirical coverage and average width of every learner under every test law.
+
+    ``laws`` holds one ``iid`` flag per test law; ``n_train`` defaults to
+    the scenario's.
 
     Neither the training rows nor the fitting stream depends on the law,
     so each learner is fitted once per repetition and scored on the test
@@ -207,23 +210,6 @@ def _run_studies(
     ]
 
 
-def run_coverage_study(
-    scenario,
-    spec: LearnerSpec,
-    alpha: float,
-    reps: int,
-    test_points_per_rep: int,
-    seed: int,
-    iid: bool,
-    n_train: int | None = None,
-) -> MonteCarloReport:
-    """Empirical coverage and average width over seeded repetitions."""
-    (report,) = _run_studies(
-        scenario, [spec], alpha, reps, test_points_per_rep, seed, (iid,), n_train
-    )
-    return report
-
-
 def run_table_linear(
     seed: int,
     alpha: float = 0.05,
@@ -238,7 +224,7 @@ def run_table_linear(
     ignored in favour of the argument.
     """
     scenario = scenario or LinearScenario()
-    return _run_studies(
+    return run_studies(
         scenario, linear_learner_specs(), alpha, reps, test_points, seed, (True, False), n_train
     )
 
@@ -255,7 +241,7 @@ def run_table_nn(
 ) -> list[MonteCarloReport]:
     """Neural-network study: five learners (two fits of the true shape)."""
     specs = nn_learner_specs(deep_depths, opt_config, single_config)
-    return _run_studies(
+    return run_studies(
         NnScenario(n_train=n_train), specs, alpha, reps, test_points, seed, (True, False), n_train
     )
 

@@ -22,7 +22,7 @@ from .linalg import least_squares
 from .mlp import MlpArchitecture, _forward, _gradients, _init_params, _sse
 from .rng import RngStream
 from .scenarios import LinearScenario
-from .studies import LearnerSpec, linear_learner_specs, run_coverage_study
+from .studies import LearnerSpec, linear_learner_specs, run_studies
 
 UMBRELLA_ALPHA = 0.10
 
@@ -53,12 +53,8 @@ def umbrella_coverages(seed: int, reps: int) -> dict[str, float]:
     """Iid coverage at level ``UMBRELLA_ALPHA`` of a good, a wrong and an adversarial learner."""
     specs = [s for s in linear_learner_specs() if s.learner_id in ("mu0", "mu3")]
     specs.append(LearnerSpec("adversarial", "fixed", FixedRuleLearner(-1000.0)))
-    return {
-        s.label: run_coverage_study(
-            LinearScenario(), s, UMBRELLA_ALPHA, reps, 1, seed, iid=True, n_train=50
-        ).coverage
-        for s in specs
-    }
+    reports = run_studies(LinearScenario(), specs, UMBRELLA_ALPHA, reps, 1, seed, (True,), 50)
+    return {s.label: report.coverage for s, report in zip(specs, reports)}
 
 
 def gradient_error(gen: np.random.Generator, instances: int) -> float:

@@ -5,12 +5,7 @@ import pytest
 
 from predcurves import cli
 from predcurves.cli import UsageError, main, parse_config
-from predcurves.emit import (
-    emit_curves,
-    emit_results,
-    format_results_csv,
-    parse_results_json,
-)
+from predcurves.emit import emit_curves, emit_results
 from predcurves.mlp import MlpLearner
 from predcurves.scenarios import LinearScenario
 from predcurves.studies import MonteCarloReport, run_table_linear
@@ -42,7 +37,7 @@ class TestEmitResults:
         )
 
     def test_csv_row_shape(self):
-        text = format_results_csv([_row()])
+        text = emit_results([_row()], "csv", None)
         line = text.splitlines()[1]
         assert line == "linear-iid,mu0,ols,0.050000,300,200,1,0.985000,4.420000,42"
 
@@ -53,8 +48,8 @@ class TestEmitResults:
 
     def test_json_round_trips(self):
         rows = [_row(), _row(scenario="linear-noniid", coverage=1 / 3, avg_width=np.pi)]
-        parsed = parse_results_json(emit_results(rows, "json", None))
-        assert parsed == rows
+        records = json.loads(emit_results(rows, "json", None))
+        assert [MonteCarloReport(**record) for record in records] == rows
 
     def test_file_output(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -222,12 +217,15 @@ class TestMainExitCodes:
             (["toy-curves", "--theta", "nan"], "sample mean must be finite"),
             (["toy-curves", "--theta", "inf"], "sample mean must be finite"),
             (["toy-curves", "--theta", "1e308"], "sample mean must be finite"),
+            (["toy-curves", "--grid-points", "1"], "--grid-points must be at least 2"),
+            (["curves", "--grid-points", "1"], "--grid-points must be at least 2"),
             (["table1", "--rep", "3"], "unrecognized arguments"),  # not read as --reps
             (["table1", "--n", "3"], "unrecognized arguments"),  # not read as --n-train
         ],
         ids=[
             "x-new-dim", "x-new-nan", "table3-depth", "curves-depth", "n-train-2", "leverage-one",
-            "theta-nan", "theta-inf", "theta-1e308", "abbrev-rep", "abbrev-n",
+            "theta-nan", "theta-inf", "theta-1e308", "toy-grid-points-1", "curves-grid-points-1",
+            "abbrev-rep", "abbrev-n",
         ],
     )
     def test_inputs_the_method_cannot_handle_exit_2(self, capsys, argv, message):

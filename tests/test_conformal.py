@@ -12,7 +12,7 @@ from predcurves.conformal import (
     predictive_curve,
 )
 from predcurves.learners import FeatureMap, FixedRuleLearner, OlsLearner
-from predcurves.quantiles import order_stat_quantile
+from predcurves.quantiles import order_stat_index
 from predcurves.rng import RngStream
 
 MEAN_LEARNER = OlsLearner(FeatureMap("intercept", input_dim=1))
@@ -54,7 +54,7 @@ class TestLooEnsemble:
         ens = build_loo_ensemble(ds, MEAN_LEARNER, RngStream(0).generator())
         scores = ens.scores(np.zeros((1, 1)))[:, 0]
         np.testing.assert_allclose(np.sort(scores), [1.0, 2.0, 3.0], atol=1e-12)
-        assert order_stat_quantile(scores, 0.5) == pytest.approx(2.0)
+        assert interval_from_scores(scores, 0.9)[:2] == pytest.approx((2.0, 2.0))  # the middle one
 
     def test_zero_learner_scores_are_responses(self):
         gen = RngStream(5).generator()
@@ -215,12 +215,17 @@ class TestMatrixInterval:
         assert len(caught) == expected
 
 
-class TestMedianPointPrediction:
+class TestMiddleOrderStatistics:
+    """At alpha = 0.9 the interval ends sit at the 0.45 and 0.55 levels."""
+
     def test_odd(self):
-        assert order_stat_quantile([3, 1, 2], 0.5) == 2.0
+        assert order_stat_index(3, 0.5) == 2
+        assert interval_from_scores([3.0, 1.0, 2.0], 0.9)[:2] == (2.0, 2.0)
 
     def test_even_left_of_peak(self):
-        assert order_stat_quantile([1, 2, 3, 4], 0.5) == 2.0
+        # the half level picks the left middle element; the interval spans both middles
+        assert order_stat_index(4, 0.5) == 2
+        assert interval_from_scores([1.0, 2.0, 3.0, 4.0], 0.9)[:2] == (2.0, 3.0)
 
 
 class TestCurveGrid:

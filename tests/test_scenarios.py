@@ -47,12 +47,25 @@ class TestLinearScenario:
         assert residual.mean() == pytest.approx(0.0, abs=0.02)
         assert residual.var() == pytest.approx(1.0, abs=0.02)
 
-    def test_training_identical_across_test_laws(self):
-        sc = LinearScenario()
-        d_iid, _ = gen_linear(sc, True, RngStream(300, 4).generator(), n_train=50, n_test=3)
-        d_non, _ = gen_linear(sc, False, RngStream(300, 4).generator(), n_train=50, n_test=3)
-        np.testing.assert_array_equal(d_iid.X, d_non.X)
-        np.testing.assert_array_equal(d_iid.y, d_non.y)
+
+@pytest.mark.parametrize(
+    "scenario, generate",
+    [(LinearScenario(), gen_linear), (NnScenario(), gen_nn)],
+    ids=["linear", "nn"],
+)
+def test_training_identical_across_test_laws(scenario, generate):
+    # training rows come first in the draw order: no test law or size moves them
+    gens = [RngStream(300, 4).generator() for _ in range(4)]
+    laws = ((True, 3), (False, 3), (True, 0), (False, 0))
+    draws = [
+        generate(scenario, iid, gen, n_train=50, n_test=n_test)
+        for gen, (iid, n_test) in zip(gens, laws)
+    ]
+    for dataset, _ in draws[1:]:
+        np.testing.assert_array_equal(dataset.X, draws[0][0].X)
+        np.testing.assert_array_equal(dataset.y, draws[0][0].y)
+    # an empty test draw leaves the stream where the training rows left it, under either law
+    assert repr(gens[2].bit_generator.state) == repr(gens[3].bit_generator.state)
 
 
 class TestNnScenario:

@@ -12,8 +12,8 @@ from predcurves.studies import (
     export_curves,
     linear_learner_specs,
     nn_learner_specs,
-    run_coverage_study,
     run_param_mse_study,
+    run_studies,
     run_table_linear,
     run_table_nn,
     score_matrix,
@@ -91,7 +91,7 @@ class TestCoverageStudy:
     def test_report_fields(self):
         scenario = LinearScenario()
         spec = linear_learner_specs()[0]
-        report = run_coverage_study(scenario, spec, 0.1, 20, 1, seed=42, iid=True, n_train=60)
+        (report,) = run_studies(scenario, [spec], 0.1, 20, 1, 42, (True,), n_train=60)
         assert report.scenario == "linear-iid"
         assert report.learner == "mu0"
         assert report.estimator == "ols"
@@ -103,8 +103,8 @@ class TestCoverageStudy:
     def test_deterministic(self):
         scenario = LinearScenario()
         spec = linear_learner_specs()[2]
-        a = run_coverage_study(scenario, spec, 0.1, 15, 2, seed=9, iid=False, n_train=50)
-        b = run_coverage_study(scenario, spec, 0.1, 15, 2, seed=9, iid=False, n_train=50)
+        a = run_studies(scenario, [spec], 0.1, 15, 2, 9, (False,), n_train=50)
+        b = run_studies(scenario, [spec], 0.1, 15, 2, 9, (False,), n_train=50)
         assert a == b
 
     def test_zero_learner_keeps_guarantee(self):
@@ -112,14 +112,14 @@ class TestCoverageStudy:
         scenario = LinearScenario()
         alpha, reps = 0.2, 150
         spec = LearnerSpec("zero", "fixed", FixedRuleLearner(0.0))
-        report = run_coverage_study(scenario, spec, alpha, reps, 1, seed=3, iid=True, n_train=40)
+        (report,) = run_studies(scenario, [spec], alpha, reps, 1, 3, (True,), n_train=40)
         floor = coverage_floor(alpha, reps)
         assert report.coverage >= floor
 
     def test_typical_coverage_near_nominal(self):
         scenario = LinearScenario()
         spec = linear_learner_specs()[0]
-        report = run_coverage_study(scenario, spec, 0.05, 200, 1, seed=12, iid=True, n_train=300)
+        (report,) = run_studies(scenario, [spec], 0.05, 200, 1, 12, (True,), n_train=300)
         assert 1 - 0.05 - 0.04 <= report.coverage <= 1.0
 
     def test_paired_datasets_across_learners(self):
@@ -128,8 +128,8 @@ class TestCoverageStudy:
         scenario = LinearScenario()
         mu0 = linear_learner_specs()[0]
         mu3 = linear_learner_specs()[3]
-        r0 = run_coverage_study(scenario, mu0, 0.05, 30, 1, seed=21, iid=True, n_train=120)
-        r3 = run_coverage_study(scenario, mu3, 0.05, 30, 1, seed=21, iid=True, n_train=120)
+        (r0,) = run_studies(scenario, [mu0], 0.05, 30, 1, 21, (True,), n_train=120)
+        (r3,) = run_studies(scenario, [mu3], 0.05, 30, 1, 21, (True,), n_train=120)
         assert r3.avg_width > r0.avg_width
 
 
@@ -166,11 +166,11 @@ class TestTablesShareFitsAcrossLaws:
 
     @staticmethod
     def _per_law_rows(scenario, specs, alpha, reps, test_points, seed, n_train):
-        return [
-            run_coverage_study(scenario, spec, alpha, reps, test_points, seed, iid, n_train)
-            for iid in (True, False)
-            for spec in specs
-        ]
+        rows = []
+        for iid in (True, False):
+            for spec in specs:
+                rows += run_studies(scenario, [spec], alpha, reps, test_points, seed, (iid,), n_train)
+        return rows
 
     def test_linear_table_equals_per_law_studies(self):
         scenario = LinearScenario(cov_shift_scale=1.0)
