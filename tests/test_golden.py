@@ -1,4 +1,4 @@
-"""Golden fingerprint: ten reference CLI runs against committed outputs.
+"""Golden fingerprint: twelve reference CLI runs against committed outputs.
 
 Outputs with no neural network in them are compared byte for byte, by
 md5. Network-derived values are compared numerically instead: a trainer
@@ -24,6 +24,8 @@ REFERENCE_MD5 = {
     "table1 --seed 8 --alpha 0.025 --cov-shift-scale 1.0": "70b1fdd6226ffb73ec457885dc275639",
     "table3 --seed 1 --reps 1": "1f2b25c97a3a4a1daf1fdb6dc44132d5",
     "curves --seed 8 --scenario linear --x-new sample-mean": "eed4bf0f6436dd1df846121dbcf924e9",
+    "curves --seed 8 --scenario linear --x-new iid-draw": "01e84938ae5201aaf59a7301f714cfd4",
+    "curves --seed 8 --scenario linear --x-new non-iid-draw": "fed44bc42f52f842986aa8a5f595d6e5",
     "verify --seed 0": "a03d71ab9937163dc0824d2e20338523",
     "toy-curves --seed 2": "12f3618387483e1a2dbff4df4e25f908",
     "table2 --seed 6 --scale desk": "9fafbfc31a5713de21eaa76527462b16",
@@ -36,6 +38,8 @@ EXACT = [
     "table1 --seed 8 --format json",
     "table1 --seed 8 --alpha 0.025 --cov-shift-scale 1.0",
     "curves --seed 8 --scenario linear --x-new sample-mean",
+    "curves --seed 8 --scenario linear --x-new iid-draw",
+    "curves --seed 8 --scenario linear --x-new non-iid-draw",
     "toy-curves --seed 2",
 ]
 
