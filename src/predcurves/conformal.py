@@ -72,10 +72,6 @@ class LooEnsemble:
     models: tuple
     loo_residuals: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.models)
-
     def prediction_matrix(self, X_new: np.ndarray) -> np.ndarray:
         """Stacked LOO predictions for several test rows; shape (n, m)."""
         X_new = np.atleast_2d(np.asarray(X_new, dtype=float))

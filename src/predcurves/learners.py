@@ -40,12 +40,6 @@ class FeatureMap:
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
 
-    @property
-    def output_dim(self) -> int:
-        return {"linear": self.input_dim + 1, "first-only": 2, "first-squared": 2, "intercept": 1}[
-            self.kind
-        ]
-
     def expand_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_dim:

@@ -19,9 +19,10 @@ nn
     covariates by three independent noncentral-t draws, which are both
     translated and heavy tailed.
 
-Draw order inside each generator is fixed (training covariates, training
-noise, test covariates, test noise) so that scenarios sharing a stream
-see identical training data regardless of the test configuration.
+Every row comes from ``draw_pairs``: covariates from the training law
+or the scenario's ``shifted_covariates``, then responses. Training pairs
+come first on the stream, so no test law or size moves them, and
+``draw_test_laws`` starts each law's test pairs where the training rows end.
 """
 
 from __future__ import annotations
@@ -83,6 +84,10 @@ class LinearScenario:
         b = np.asarray(self.beta)
         return b[0] + X @ b[1:]
 
+    def shifted_covariates(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` covariate rows of the shifted test law."""
+        return sample_mvn(self.mu_shifted, self.cov_shift, rng, size=size)
+
 
 @dataclass(frozen=True)
 class NnScenario:
@@ -130,26 +135,42 @@ class NnScenario:
         _, out = _forward([W[None] for W in self.true_params()], X)
         return out[0]
 
+    def shifted_covariates(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` rows ``(T1, T2, T3)``, independent noncentral-t draws (``t_df``, ``t_ncp``)."""
+        return sample_noncentral_t(self.t_df, self.t_ncp, rng, size=(size, 3))
 
-def _draw(
-    scenario, rng: np.random.Generator, n_train: int | None, n_test: int, shifted
-) -> tuple[Dataset, tuple[np.ndarray, np.ndarray]]:
-    """Training set plus test pairs in the fixed draw order of the module docstring.
 
-    Test covariates follow the training law, or the shifted law when
-    ``shifted`` is given: a function from a row count to that many
-    covariate rows. A zero-size draw leaves ``rng`` where it was.
+def draw_pairs(scenario, iid: bool, rng: np.random.Generator, size: int):
+    """``size`` pairs ``(X, y)``: covariates, then responses given them.
+
+    Covariates follow the training law when ``iid``, the scenario's
+    shifted law otherwise. A zero-size draw leaves ``rng`` where it was.
     """
-    n = scenario.n_train if n_train is None else n_train
-    sigma = np.sqrt(scenario.sigma2)
-    X = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, rng, size=n)
-    y = scenario.mean_response(X) + sigma * rng.standard_normal(n)
-    if shifted is None:
-        X_test = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, rng, size=n_test)
+    if iid:
+        X = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, rng, size=size)
     else:
-        X_test = shifted(n_test)
-    y_test = scenario.mean_response(X_test) + sigma * rng.standard_normal(n_test)
-    return Dataset(X, y), (X_test, y_test)
+        X = scenario.shifted_covariates(rng, size)
+    return X, scenario.mean_response(X) + np.sqrt(scenario.sigma2) * rng.standard_normal(size)
+
+
+def draw_test_laws(scenario, laws: tuple[bool, ...], rng: np.random.Generator, size: int):
+    """``size`` test pairs per ``iid`` flag in ``laws``, each from the current stream position.
+
+    Called right after a training draw, each law gets the test pairs that
+    a fresh generator call under that law would draw after the same rows.
+    """
+    start = rng.bit_generator.state
+    pairs = []
+    for iid in laws:
+        rng.bit_generator.state = start
+        pairs.append(draw_pairs(scenario, iid, rng, size))
+    return pairs
+
+
+def _draw(scenario, iid: bool, rng: np.random.Generator, n_train: int | None, n_test: int):
+    """Training pairs from the training law, then test pairs under ``iid``, on one stream."""
+    X, y = draw_pairs(scenario, True, rng, scenario.n_train if n_train is None else n_train)
+    return Dataset(X, y), draw_pairs(scenario, iid, rng, n_test)
 
 
 def gen_linear(
@@ -160,11 +181,7 @@ def gen_linear(
     n_test: int = 1,
 ) -> tuple[Dataset, tuple[np.ndarray, np.ndarray]]:
     """Training set plus test pairs under the linear scenario."""
-
-    def shifted(size: int) -> np.ndarray:
-        return sample_mvn(scenario.mu_shifted, scenario.cov_shift, rng, size=size)
-
-    return _draw(scenario, rng, n_train, n_test, None if iid else shifted)
+    return _draw(scenario, iid, rng, n_train, n_test)
 
 
 def gen_nn(
@@ -174,13 +191,5 @@ def gen_nn(
     n_train: int | None = None,
     n_test: int = 1,
 ) -> tuple[Dataset, tuple[np.ndarray, np.ndarray]]:
-    """Training set plus test pairs under the neural-network scenario.
-
-    The shifted test covariates are ``(T1, T2, T3)`` with independent
-    noncentral-t components (df, noncentrality from the scenario).
-    """
-
-    def shifted(size: int) -> np.ndarray:
-        return sample_noncentral_t(scenario.t_df, scenario.t_ncp, rng, size=(size, 3))
-
-    return _draw(scenario, rng, n_train, n_test, None if iid else shifted)
+    """Training set plus test pairs under the neural-network scenario."""
+    return _draw(scenario, iid, rng, n_train, n_test)

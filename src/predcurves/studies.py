@@ -1,14 +1,13 @@
 """Seeded Monte Carlo studies: coverage tables, parameter-error tables, curves.
 
-Each repetition r of a study runs on the stream ``RngStream(seed, r)``,
-so repetitions are independent, reproducible, and schedule independent.
-Within a repetition the draw order is fixed (training data, test data,
-then any fitting randomness), which means every learner evaluated at the
-same ``(seed, rep)`` sees the identical dataset: coverage and width
-comparisons across learners are paired. The training rows come first in
-every scenario's draw order, so the iid and shifted test laws of one
-repetition share them too, and the coverage tables fit each learner
-once per repetition for both laws.
+Repetition r of a study draws its data from ``RngStream(seed, r)``, so
+repetitions are independent, reproducible and schedule independent, and
+every learner at the same ``(seed, rep)`` sees the identical dataset:
+comparisons across learners are paired. Fitting randomness comes from
+``labeled_generator`` streams or ``spawn`` children, never from later
+draws on that stream. The coverage tables draw the training rows once
+per repetition and every law's test rows with ``draw_test_laws``, so
+each learner is fitted once per repetition for all laws.
 
 Least-squares learners take the closed-form scoring path; all other
 learners go through the generic leave-one-out engine.
@@ -39,7 +38,7 @@ from .mlp import (
     canonicalize_mlp,
 )
 from .rng import RngStream, labeled_generator
-from .scenarios import LinearScenario, NnScenario, gen_linear, gen_nn
+from .scenarios import LinearScenario, NnScenario, draw_test_laws, gen_linear, gen_nn
 
 
 @dataclass(frozen=True)
@@ -173,18 +172,17 @@ def run_studies(
     hits = [[0] * len(specs) for _ in laws]
     width_total = [[0.0] * len(specs) for _ in laws]
     for rep in range(reps):
-        draws = [
-            _generate(scenario, iid, RngStream(seed, rep).generator(), n_train, m) for iid in laws
-        ]
-        dataset = draws[0][0]
-        X_test = np.vstack([X for _, (X, _) in draws])
+        gen = RngStream(seed, rep).generator()
+        dataset, _ = _generate(scenario, True, gen, n_train, 0)
+        tests = draw_test_laws(scenario, laws, gen, m)
+        X_test = np.vstack([X for X, _ in tests])
         for s, spec in enumerate(specs):
             # data draws share the rep stream across learners (paired comparisons);
             # fitting randomness is keyed by the learner label so learners stay independent
             fit_gen = labeled_generator(seed, rep, spec.label)
             scores = score_matrix(dataset, spec.learner, X_test, fit_gen)
             lower, upper, _ = interval_from_scores(scores, alpha)
-            for k, (_, (_, y_test)) in enumerate(draws):
+            for k, (_, y_test) in enumerate(tests):
                 cols = slice(k * m, (k + 1) * m)
                 inside = (lower[cols] <= y_test) & (y_test <= upper[cols])
                 hits[k][s] += int(inside.sum())

@@ -81,7 +81,7 @@ class TestLooEnsemble:
         X = np.array([[1.0], [1.0], [2.0], [2.0]])
         y = np.array([1.0, 1.0, 2.0, 2.0])
         ens = build_loo_ensemble(Dataset(X, y), MEAN_LEARNER, RngStream(0).generator())
-        assert ens.n == 4
+        assert len(ens.models) == 4
 
     def test_failing_fit_names_index(self):
         class Exploder:

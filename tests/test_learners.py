@@ -36,7 +36,7 @@ class TestFeatureMap:
     def test_output_dims(self):
         dims = {"linear": 3, "first-only": 2, "first-squared": 2, "intercept": 1}
         for kind, d in dims.items():
-            assert FeatureMap(kind, input_dim=2).output_dim == d
+            assert FeatureMap(kind, input_dim=2).expand_matrix(np.ones((5, 2))).shape[1] == d
 
 
 class TestOlsLearner:

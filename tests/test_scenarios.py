@@ -4,7 +4,14 @@ from scipy import stats
 
 from predcurves.mlp import MlpModel
 from predcurves.rng import RngStream
-from predcurves.scenarios import LinearScenario, NnScenario, ar_covariance, gen_linear, gen_nn
+from predcurves.scenarios import (
+    LinearScenario,
+    NnScenario,
+    ar_covariance,
+    draw_test_laws,
+    gen_linear,
+    gen_nn,
+)
 
 
 class TestLinearScenario:
@@ -66,6 +73,12 @@ def test_training_identical_across_test_laws(scenario, generate):
         np.testing.assert_array_equal(dataset.y, draws[0][0].y)
     # an empty test draw leaves the stream where the training rows left it, under either law
     assert repr(gens[2].bit_generator.state) == repr(gens[3].bit_generator.state)
+    # after one training draw, every law's test pairs are those of a fresh call at that law
+    gen = RngStream(300, 4).generator()
+    generate(scenario, True, gen, n_train=50, n_test=0)
+    for (X, y), (_, (X_ref, y_ref)) in zip(draw_test_laws(scenario, (True, False), gen, 3), draws):
+        np.testing.assert_array_equal(X, X_ref)
+        np.testing.assert_array_equal(y, y_ref)
 
 
 class TestNnScenario:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from predcurves import studies
 from predcurves.conformal import Dataset
 from predcurves.learners import FeatureMap, FixedRuleLearner, OlsLearner
 from predcurves.mlp import TrainerConfig
@@ -188,6 +189,24 @@ class TestTablesShareFitsAcrossLaws:
         specs = nn_learner_specs((3, 4), opt, single)
         expected = self._per_law_rows(NnScenario(n_train=10), specs, 0.2, 2, 3, 4, 10)
         assert rows == expected
+
+    @pytest.mark.parametrize(
+        "scenario, name",
+        [(LinearScenario(), "gen_linear"), (NnScenario(), "gen_nn")],
+        ids=["linear", "nn"],
+    )
+    def test_one_training_draw_per_repetition(self, scenario, name, monkeypatch):
+        calls = []
+        generate = getattr(studies, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(studies, name, counted)
+        learner = OlsLearner(FeatureMap("intercept", input_dim=scenario.cov_x.shape[0]))
+        run_studies(scenario, [LearnerSpec("mu", "ols", learner)], 0.2, 3, 2, 0, (True, False), 10)
+        assert len(calls) == 3
 
 
 class TestParamMseStudy:
