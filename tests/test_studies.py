@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from predcurves import studies
+from predcurves import canonicalize_mlp, studies
 from predcurves.conformal import Dataset
 from predcurves.learners import FeatureMap, FixedRuleLearner, OlsLearner
 from predcurves.mlp import TrainerConfig
@@ -12,6 +12,7 @@ from predcurves.studies import (
     deep_architecture,
     export_curves,
     linear_learner_specs,
+    nearest_reference_sq_err,
     nn_learner_specs,
     run_param_mse_study,
     run_studies,
@@ -207,6 +208,29 @@ class TestTablesShareFitsAcrossLaws:
         learner = OlsLearner(FeatureMap("intercept", input_dim=scenario.cov_x.shape[0]))
         run_studies(scenario, [LearnerSpec("mu", "ols", learner)], 0.2, 3, 2, 0, (True, False), 10)
         assert len(calls) == 3
+
+
+class TestNearestReference:
+    @staticmethod
+    def _disguise(params):
+        """Swap the hidden units, then scale the first row by 3 and its output weight by 1/3."""
+        a1, a2 = params[0][::-1].copy(), params[1][:, ::-1].copy()
+        a1[0] *= 3.0
+        a2[:, 0] /= 3.0
+        return [a1, a2]
+
+    def test_every_true_member_matches_exactly(self):
+        members = NnScenario().equivalent_true_params()
+        refs = [canonicalize_mlp(p) for p in members]
+        for params in members:
+            err = nearest_reference_sq_err(self._disguise(params), refs)
+            assert err.shape == (8,)
+            np.testing.assert_array_equal(err, 0.0)
+
+    def test_sheared_member_is_off_the_true_reference(self):
+        true, sheared = NnScenario().equivalent_true_params()
+        err = nearest_reference_sq_err(self._disguise(sheared), [canonicalize_mlp(true)])
+        assert err.sum() == pytest.approx(5.0)
 
 
 class TestParamMseStudy:
