@@ -42,7 +42,6 @@ from .mlp import (
     MlpLearner,
     MlpModel,
     TrainerConfig,
-    canonicalize_mlp,
 )
 from .quantiles import order_stat_index
 from .rng import RngStream
@@ -51,7 +50,7 @@ from .scenarios import LinearScenario, NnScenario, ar_covariance, gen_linear, ge
 from .studies import (
     LearnerSpec,
     MonteCarloReport,
-    ParamMseTable,
+    canonicalize_mlp,
     export_curves,
     linear_learner_specs,
     nn_learner_specs,

@@ -199,10 +199,10 @@ def _run_table1(cfg: argparse.Namespace) -> str:
 
 
 def _run_table2(cfg: argparse.Namespace) -> str:
-    table = run_param_mse_study(
+    mse = run_param_mse_study(
         cfg.seed, n_train=cfg.n_train, reps=cfg.reps, opt_config=TrainerConfig(cfg.restarts)
     )
-    return emit_param_mse(table, cfg.format, cfg.out)
+    return emit_param_mse(mse, cfg.format, cfg.out)
 
 
 def _run_table3(cfg: argparse.Namespace) -> str:

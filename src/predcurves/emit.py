@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, fields
 
-from .studies import MonteCarloReport, ParamMseTable
+from .studies import PARAM_NAMES, MonteCarloReport
 
 RESULTS_FIELDS = tuple(f.name for f in fields(MonteCarloReport))
 
@@ -35,11 +35,11 @@ def emit_results(rows: list[MonteCarloReport], fmt: str, path: str | None) -> st
     return _emit_records([asdict(row) for row in rows], RESULTS_FIELDS, fmt, path)
 
 
-def emit_param_mse(table: ParamMseTable, fmt: str, path: str | None) -> str:
+def emit_param_mse(mse: dict, fmt: str, path: str | None) -> str:
     records = [
         {"estimator": est, "parameter": name, "mse": float(value)}
-        for est in sorted(table.mse)
-        for name, value in zip(table.param_names, table.mse[est])
+        for est in sorted(mse)
+        for name, value in zip(PARAM_NAMES, mse[est])
     ]
     return _emit_records(records, ("estimator", "parameter", "mse"), fmt, path)
 

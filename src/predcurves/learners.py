@@ -77,17 +77,16 @@ class OlsLearner:
 
 
 class _FixedModel:
-    def __init__(self, scale: float, coordinate: int):
+    def __init__(self, scale: float):
         self.scale = scale
-        self.coordinate = coordinate
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.scale * np.atleast_2d(X)[:, self.coordinate]
+        return self.scale * np.atleast_2d(X)[:, 0]
 
 
 @dataclass(frozen=True)
 class FixedRuleLearner:
-    """Ignores the data and predicts ``scale * x[coordinate]``.
+    """Ignores the data and predicts ``scale * x[0]``.
 
     With ``scale = 0`` this is the all-zero predictor; with an absurd scale
     it is an adversarially bad model. Either way the conformal coverage
@@ -95,7 +94,6 @@ class FixedRuleLearner:
     """
 
     scale: float
-    coordinate: int = 0
 
     def fit(self, dataset: Dataset, rng=None) -> _FixedModel:
-        return _FixedModel(self.scale, self.coordinate)
+        return _FixedModel(self.scale)

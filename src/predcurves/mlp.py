@@ -25,7 +25,6 @@ memory budget, one chunk after another in the same buffers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -292,45 +291,6 @@ def _train_chunk(
     if alive.size:
         retire(np.ones(alive.size, dtype=bool))
     return final_loss
-
-
-def canonicalize_mlp(params: list, reference: list | None = None) -> list:
-    """Resolve the ReLU symmetries of a single-hidden-layer network.
-
-    Positive homogeneity (``f(c t) = c f(t)`` for ``c > 0``) lets each
-    hidden row of the first layer be rescaled with the reciprocal absorbed
-    into the output layer without changing any prediction. Each hidden row
-    is scaled by a positive factor so its largest absolute entry is 1;
-    all-zero rows are left alone. If ``reference`` (already canonical)
-    is supplied, hidden units are additionally reordered to minimize the
-    total squared distance to it, resolving the permutation symmetry.
-    Per-parameter errors are only meaningful after this normalization.
-    """
-    if len(params) != 2:
-        raise ValueError("canonical form is defined for single-hidden-layer networks")
-    a1 = np.array(params[0], dtype=float)
-    a2 = np.array(params[1], dtype=float)
-    if a2.shape != (1, a1.shape[0]):
-        raise ValueError("output layer shape does not match the hidden layer")
-    for row in range(a1.shape[0]):
-        m = np.max(np.abs(a1[row]))
-        if m > 0.0:
-            a1[row] /= m
-            a2[:, row] *= m
-    if reference is not None:
-        ref1 = np.asarray(reference[0], dtype=float)
-        ref2 = np.asarray(reference[1], dtype=float)
-        best_cost = np.inf
-        best: tuple[int, ...] | None = None
-        for perm in permutations(range(a1.shape[0])):
-            p = list(perm)
-            cost = np.sum((a1[p] - ref1) ** 2) + np.sum((a2[:, p] - ref2) ** 2)
-            if cost < best_cost:
-                best_cost = cost
-                best = p
-        a1 = a1[best]
-        a2 = a2[:, best]
-    return [a1, a2]
 
 
 class MlpModel:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import Dataset
-from .mlp import MlpArchitecture, _forward
+from .mlp import _forward
 from .sampling import sample_mvn, sample_noncentral_t
 
 
@@ -101,10 +101,6 @@ class NnScenario:
     @property
     def cov_x(self) -> np.ndarray:
         return ar_covariance(3, self.rho_x)
-
-    @property
-    def architecture(self) -> MlpArchitecture:
-        return MlpArchitecture((3, 2, 1))
 
     def true_params(self) -> list:
         """Weights whose network computes max(0, max(0, z1+z2) - max(0, w))."""

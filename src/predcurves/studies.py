@@ -16,6 +16,7 @@ learners go through the generic leave-one-out engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 from scipy.special import ndtr
@@ -35,7 +36,6 @@ from .mlp import (
     MlpArchitecture,
     MlpLearner,
     TrainerConfig,
-    canonicalize_mlp,
 )
 from .rng import RngStream, labeled_generator
 from .scenarios import LinearScenario, NnScenario, draw_test_laws, gen_linear, gen_nn
@@ -84,6 +84,10 @@ def linear_learner_specs() -> list[LearnerSpec]:
     ]
 
 
+# the shape of the network behind ``NnScenario``'s response surface
+TRUE_SHAPE = MlpArchitecture((3, 2, 1))
+
+
 def deep_architecture(depth: int) -> MlpArchitecture:
     """``depth`` weight layers: 3 inputs -> 20 x (depth - 1) -> 1."""
     if depth < 2:
@@ -103,11 +107,10 @@ def nn_learner_specs(
     first two covariates; mu2 and mu3 are over-parametrized deep nets of
     the given depths; mu4 is intercept-only least squares.
     """
-    shallow = MlpArchitecture((3, 2, 1))
     partial = MlpArchitecture((2, 1))
     return [
-        LearnerSpec("mu0", "opt-mse", MlpLearner(shallow, opt_config), label="mu0-opt-mse"),
-        LearnerSpec("mu0", "single", MlpLearner(shallow, single_config), label="mu0-single"),
+        LearnerSpec("mu0", "opt-mse", MlpLearner(TRUE_SHAPE, opt_config), label="mu0-opt-mse"),
+        LearnerSpec("mu0", "single", MlpLearner(TRUE_SHAPE, single_config), label="mu0-single"),
         LearnerSpec("mu1", "single", MlpLearner(partial, single_config, input_indices=(0, 1))),
         LearnerSpec("mu2", "single", MlpLearner(deep_architecture(deep_depths[0]), single_config)),
         LearnerSpec("mu3", "single", MlpLearner(deep_architecture(deep_depths[1]), single_config)),
@@ -244,34 +247,49 @@ def run_table_nn(
     )
 
 
-@dataclass(frozen=True)
-class ParamMseTable:
-    """Per-parameter squared error of the fitted true-shape network."""
-
-    param_names: tuple[str, ...]
-    mse: dict
-    reps: int
-    n_train: int
-    seed: int
+# first-layer weights row-major (hidden unit, input), then the output weights
+PARAM_NAMES = ("l1_00", "l1_01", "l1_02", "l1_10", "l1_11", "l1_12", "l2_0", "l2_1")
 
 
-def _flatten_two_layer(params) -> np.ndarray:
-    return np.concatenate([np.asarray(params[0]).ravel(), np.asarray(params[1]).ravel()])
+def canonicalize_mlp(params: list) -> list:
+    """Resolve the scale symmetry of a single-hidden-layer network.
+
+    Positive homogeneity (``f(c t) = c f(t)`` for ``c > 0``) lets each
+    hidden row of the first layer be rescaled with the reciprocal absorbed
+    into the output layer without changing any prediction. Each hidden row
+    is scaled by a positive factor so its largest absolute entry is 1;
+    all-zero rows are left alone.
+    """
+    if len(params) != 2:
+        raise ValueError("canonical form is defined for single-hidden-layer networks")
+    a1 = np.array(params[0], dtype=float)
+    a2 = np.array(params[1], dtype=float)
+    if a2.shape != (1, a1.shape[0]):
+        raise ValueError("output layer shape does not match the hidden layer")
+    for row in range(a1.shape[0]):
+        m = np.max(np.abs(a1[row]))
+        if m > 0.0:
+            a1[row] /= m
+            a2[:, row] *= m
+    return [a1, a2]
 
 
 def nearest_reference_sq_err(params, references: list) -> np.ndarray:
-    """Entrywise squared error against the closest canonical reference.
+    """Entrywise squared error, in ``PARAM_NAMES`` order, against the closest canonical reference.
 
-    Each reference must already be canonical; the fitted parameters are
-    canonicalized and permutation-aligned against every reference and the
-    one with the smallest total squared distance wins.
+    Each reference must already be canonical. The fitted parameters are
+    canonicalized once, then compared with every reference under every
+    order of the hidden units; the first pair with the smallest total
+    squared distance wins.
     """
+    a1, a2 = canonicalize_mlp(params)
     best = None
-    for ref in references:
-        aligned = canonicalize_mlp(params, reference=ref)
-        err = (_flatten_two_layer(aligned) - _flatten_two_layer(ref)) ** 2
-        if best is None or err.sum() < best.sum():
-            best = err
+    for ref1, ref2 in references:
+        for perm in permutations(range(a1.shape[0])):
+            p = list(perm)
+            err = np.concatenate([(a1[p] - ref1).ravel(), (a2[:, p] - ref2).ravel()]) ** 2
+            if best is None or err.sum() < best.sum():
+                best = err
     return best
 
 
@@ -282,31 +300,28 @@ def run_param_mse_study(
     opt_config: TrainerConfig = OPT_MSE,
     single_config: TrainerConfig = SINGLE_RESTART,
     scenario: NnScenario | None = None,
-) -> ParamMseTable:
+) -> dict:
     """Estimation accuracy of the two fitting procedures on the true shape.
 
-    Fitted parameters are canonicalized (scale symmetry removed, hidden
-    units aligned) and scored against the nearest member of the truth's
-    equivalence class; without both steps per-parameter error is not well
-    defined, see :meth:`NnScenario.equivalent_true_params`.
+    Returns the mean over repetitions of each estimator's per-parameter
+    squared error, ``{"opt-mse": (8,), "single": (8,)}`` in ``PARAM_NAMES``
+    order. Fitted parameters are canonicalized (scale symmetry removed,
+    hidden units aligned) and scored against the nearest member of the
+    truth's equivalence class; without both steps per-parameter error is
+    not well defined, see :meth:`NnScenario.equivalent_true_params`.
     """
     scenario = scenario or NnScenario(n_train=n_train)
     references = [canonicalize_mlp(p) for p in scenario.equivalent_true_params()]
-    arch = scenario.architecture
-    names = tuple(
-        [f"l1_{r}{c}" for r in range(2) for c in range(3)] + [f"l2_{r}" for r in range(2)]
-    )
     configs = {"opt-mse": opt_config, "single": single_config}
-    sums = {est: np.zeros(8) for est in configs}
+    sums = {est: np.zeros(len(PARAM_NAMES)) for est in configs}
     for rep in range(reps):
         gen = RngStream(seed, rep).generator()
         dataset, _ = gen_nn(scenario, iid=True, rng=gen, n_train=n_train, n_test=0)
         fit_streams = gen.spawn(len(configs))
         for (est, config), sub in zip(configs.items(), fit_streams):
-            model = MlpLearner(arch, config).fit(dataset, sub)
+            model = MlpLearner(TRUE_SHAPE, config).fit(dataset, sub)
             sums[est] += nearest_reference_sq_err(model.params, references)
-    mse = {est: total / reps for est, total in sums.items()}
-    return ParamMseTable(param_names=names, mse=mse, reps=reps, n_train=n_train, seed=seed)
+    return {est: total / reps for est, total in sums.items()}
 
 
 def oracle_curve_rows(mu_new: float, sigma: float, points: int) -> list[tuple[str, float, float]]:

@@ -226,9 +226,9 @@ def test_criterion_6_table3_desk_scale():
 
 
 def test_criterion_7_parameter_error_contrast():
-    table = run_param_mse_study(seed=TABLE2_SEED, n_train=300, reps=10)
-    opt_total = float(table.mse["opt-mse"].sum())
-    single_total = float(table.mse["single"].sum())
+    mse = run_param_mse_study(seed=TABLE2_SEED, n_train=300, reps=10)
+    opt_total = float(mse["opt-mse"].sum())
+    single_total = float(mse["single"].sum())
     ratio = opt_total / single_total
     ok = ratio < 0.25
     _report(7, ok, f"aggregate {opt_total:.2f} vs {single_total:.2f} (ratio {ratio:.3f})")

@@ -8,6 +8,7 @@ from predcurves.mlp import TrainerConfig
 from predcurves.rng import RngStream
 from predcurves.scenarios import LinearScenario, NnScenario
 from predcurves.studies import (
+    PARAM_NAMES,
     LearnerSpec,
     deep_architecture,
     export_curves,
@@ -232,30 +233,38 @@ class TestNearestReference:
         err = nearest_reference_sq_err(self._disguise(sheared), [canonicalize_mlp(true)])
         assert err.sum() == pytest.approx(5.0)
 
+    def test_errors_sit_at_their_names(self):
+        params = NnScenario().true_params()
+        refs = [canonicalize_mlp(p) for p in NnScenario().equivalent_true_params()]
+        params[0][0, 2] = 0.5
+        expected = np.zeros(len(PARAM_NAMES))
+        expected[PARAM_NAMES.index("l1_02")] = 0.25
+        np.testing.assert_array_equal(nearest_reference_sq_err(params, refs), expected)
+
 
 class TestParamMseStudy:
     def test_single_rep_reproducible(self):
         cfg = TrainerConfig(restarts=3, max_iterations=400)
         a = run_param_mse_study(seed=5, n_train=60, reps=1, opt_config=cfg)
         b = run_param_mse_study(seed=5, n_train=60, reps=1, opt_config=cfg)
-        assert a.param_names == b.param_names
-        for est in a.mse:
-            np.testing.assert_array_equal(a.mse[est], b.mse[est])
+        assert a.keys() == b.keys() == {"opt-mse", "single"}
+        for est in a:
+            np.testing.assert_array_equal(a[est], b[est])
 
     def test_zero_noise_identification(self):
         scenario = NnScenario(sigma2=1e-30)
-        table = run_param_mse_study(seed=7, n_train=200, reps=1, scenario=scenario)
-        assert np.max(table.mse["opt-mse"]) < 1e-3
+        mse = run_param_mse_study(seed=7, n_train=200, reps=1, scenario=scenario)
+        assert np.max(mse["opt-mse"]) < 1e-3
 
     def test_has_eight_parameters(self):
         cfg = TrainerConfig(restarts=2, max_iterations=200)
-        table = run_param_mse_study(seed=2, n_train=50, reps=1, opt_config=cfg)
-        assert len(table.param_names) == 8
-        assert all(v.shape == (8,) for v in table.mse.values())
+        mse = run_param_mse_study(seed=2, n_train=50, reps=1, opt_config=cfg)
+        assert len(PARAM_NAMES) == len(set(PARAM_NAMES)) == 8
+        assert all(v.shape == (8,) for v in mse.values())
 
     def test_opt_mse_per_entry_bound_at_full_size(self):
-        table = run_param_mse_study(seed=6, n_train=300, reps=10)
-        assert np.max(table.mse["opt-mse"]) <= 0.5
+        mse = run_param_mse_study(seed=6, n_train=300, reps=10)
+        assert np.max(mse["opt-mse"]) <= 0.5
 
 
 class TestExportCurves:
