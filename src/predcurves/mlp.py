@@ -168,7 +168,10 @@ def train_batched(
     The buffers are allocated once per call, sized to one chunk: two sets
     of activations, which swap roles between current and candidate every
     iteration, and two scratch arrays for the backward pass. Each chunk's
-    final weights overwrite its initial ones.
+    final weights overwrite its initial ones, and each fold's best restart
+    then replaces the batch one layer at a time. So a call's peak memory is
+    every network's weights, one chunk's buffers and scratch, and one layer
+    of the selected networks.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -192,10 +195,11 @@ def train_batched(
         )
 
     restart_losses = final_loss.reshape(n_folds, n_restarts)
-    best = restart_losses.argmin(axis=1)
-    sel = np.arange(n_folds) * n_restarts + best
-    best_params = [W[sel] for W in params]
-    return best_params, final_loss[sel], restart_losses
+    sel = np.arange(n_folds) * n_restarts + restart_losses.argmin(axis=1)
+    # one layer at a time, so the whole batch is never held twice
+    for layer in range(len(params)):
+        params[layer] = params[layer][sel]
+    return params, final_loss[sel], restart_losses
 
 
 def _train_chunk(

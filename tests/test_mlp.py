@@ -225,18 +225,23 @@ class TestTrainer:
     def test_returned_losses_match_a_fresh_forward(self, arch):
         # losses are carried from the candidate step's forward pass and merged
         # back on rejection; whatever the budget a run stops at, they must
-        # equal the loss of the params actually returned (one restart per fold,
-        # so every network trained is returned)
+        # equal the loss of the params actually returned. With one restart per
+        # fold every network trained is returned; with three, each fold's best
+        # restart must be the one whose params come back
         ds, _ = gen_nn(NnScenario(), True, RngStream(14, 0).generator(), n_train=12, n_test=0)
         masks = 1.0 - np.eye(12)
-        for iterations in range(1, 21):
-            config = TrainerConfig(restarts=1, max_iterations=iterations, initial_step=0.3)
-            best, losses, _ = train_batched(
-                MlpArchitecture(arch), config, ds.X, ds.y, RngStream(14, 1).generator(),
-                fold_masks=masks,
-            )
-            _, out = _forward(best, ds.X)
-            np.testing.assert_array_equal(losses, _sse(out, ds.y, masks))
+        for restarts in (1, 3):
+            for iterations in range(1, 21):
+                config = TrainerConfig(
+                    restarts=restarts, max_iterations=iterations, initial_step=0.3
+                )
+                best, losses, restart_losses = train_batched(
+                    MlpArchitecture(arch), config, ds.X, ds.y, RngStream(14, 1).generator(),
+                    fold_masks=masks,
+                )
+                _, out = _forward(best, ds.X)
+                np.testing.assert_array_equal(losses, _sse(out, ds.y, masks))
+                np.testing.assert_array_equal(losses, restart_losses.min(axis=1))
 
     def test_matches_two_forward_reference_loop(self):
         # the trainer reuses the candidate's forward pass and updates in place;
@@ -345,3 +350,19 @@ class TestChunks:
             tracemalloc.stop()
         whole, small = peaks
         assert small < 0.4 * whole
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_peak_memory_holds_the_selected_networks_once(self, restarts, monkeypatch):
+        # all initial weights stay held for the whole call; past them a call
+        # may take its chunk budget and a slack of half the selected networks'
+        # weights, so a second copy of the selected networks does not fit
+        arch = MlpArchitecture((3, *[20] * 7, 1))
+        ds, _ = gen_nn(NnScenario(), True, RngStream(17, 0).generator(), n_train=80, n_test=0)
+        config = TrainerConfig(restarts=restarts, max_iterations=3)
+        monkeypatch.setattr(mlp, "_CHUNK_BYTES", 4 * _network_bytes(arch, 80))
+        selected = 80 * 8 * sum(a * b for a, b in zip(arch.widths[:-1], arch.widths[1:]))
+        tracemalloc.start()
+        train_batched(arch, config, ds.X, ds.y, RngStream(17, 1).generator(), 1.0 - np.eye(80))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < restarts * selected + mlp._CHUNK_BYTES + selected / 2
