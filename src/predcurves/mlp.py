@@ -65,6 +65,10 @@ class TrainerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be at least 0, got {self.max_iterations}")
+        if not (np.isfinite(self.initial_step) and self.initial_step > 0):
+            raise ValueError(f"initial_step must be finite and positive, got {self.initial_step}")
 
 
 OPT_MSE = TrainerConfig()
@@ -152,8 +156,9 @@ def train_batched(
     """Train ``folds x restarts`` networks.
 
     fold_masks
-        (F, n) 0/1 array; fold f trains only on rows with mask 1. A
-        single fold on every row is ``np.ones((1, n))``.
+        (F, n) 0/1 array, F >= 1; fold f trains only on rows with mask 1.
+        A single fold on every row is ``np.ones((1, n))``. Any other shape
+        or entry raises ``ValueError``.
 
     Returns ``(params, losses, restart_losses)`` where ``params`` is a list
     of arrays with a leading fold axis (layer l has shape (F, out, in))
@@ -178,10 +183,20 @@ def train_batched(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     fold_masks = np.asarray(fold_masks, dtype=float)
+    n = X.shape[0]
+    if not (
+        fold_masks.ndim == 2
+        and fold_masks.shape[0] >= 1
+        and fold_masks.shape[1] == n
+        and ((fold_masks == 0.0) | (fold_masks == 1.0)).all()
+    ):
+        raise ValueError(
+            f"fold_masks of shape {fold_masks.shape} must be (F, {n}) with F >= 1 "
+            "and only 0/1 entries"
+        )
     n_folds = fold_masks.shape[0]
     n_restarts = config.restarts
     batch = n_folds * n_restarts
-    n = X.shape[0]
 
     params = _init_params(arch, rng, batch)
     chunk = min(batch, max(1, _CHUNK_BYTES // _network_bytes(arch, n)))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -273,6 +274,34 @@ class TestTrainer:
             arch, config, ds.X, ds.y, RngStream(15, 1).generator(), fold_masks=1.0 - np.eye(10)
         )
         np.testing.assert_array_equal(restart_losses.ravel(), final_loss)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_iterations", -1),
+            ("initial_step", 0.0),
+            ("initial_step", -0.1),
+            ("initial_step", float("nan")),
+            ("initial_step", float("inf")),
+        ],
+    )
+    def test_config_rejects_a_budget_that_cannot_train(self, field, value):
+        TrainerConfig(max_iterations=0)
+        with pytest.raises(ValueError, match=field):
+            TrainerConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "masks",
+        [np.ones((2, 9)), np.ones(10), np.ones((1, 1, 10)), np.ones((0, 10)),
+         np.array([[1.0] * 9 + [2.0]]), np.array([[1.0] * 9 + [np.nan]])],
+        ids=["short-rows", "one-dim", "three-dim", "no-folds", "entry-two", "entry-nan"],
+    )
+    def test_bad_fold_masks_rejected_before_any_draw(self, masks):
+        ds, _ = gen_nn(NnScenario(), True, RngStream(18, 0).generator(), n_train=10, n_test=0)
+        gen = RngStream(18, 1).generator()
+        with pytest.raises(ValueError, match=re.escape(f"fold_masks of shape {masks.shape}")):
+            train_batched(TRUE_SHAPE, SINGLE_RESTART, ds.X, ds.y, gen, masks)
+        assert gen.random() == RngStream(18, 1).generator().random()
 
     def test_input_indices_subset(self):
         ds = Dataset(np.arange(30.0).reshape(10, 3), np.arange(10.0))
