@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import interval_from_scores
-from .linalg import least_squares
+from .linalg import least_squares, solve_upper
 from .scenarios import LinearScenario, gen_linear
 
 
@@ -105,9 +105,7 @@ def homeostasis_report(
     g_diag = fit.hat_diag()
     g_cross = fit.hat_cross_many(z_new[None, :])[:, 0]
     # coefficients of regressing each W column on Z, and the residual part of W
-    from scipy.linalg import solve_triangular
-
-    coef = solve_triangular(fit.r, fit.q.T @ W)
+    coef = solve_upper(fit.r, fit.q.T @ W)
     w_perp = W - fit.q @ (fit.q.T @ W)
 
     bias = float(-w_new @ beta2 + z_new @ (coef @ beta2))

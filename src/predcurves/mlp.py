@@ -155,10 +155,16 @@ def train_batched(
 ) -> tuple[list, np.ndarray, np.ndarray]:
     """Train ``folds x restarts`` networks.
 
+    X, y
+        (n, ``arch.input_dim``) covariates and (n,) responses; any other
+        shape raises ``ValueError``.
     fold_masks
         (F, n) 0/1 array, F >= 1; fold f trains only on rows with mask 1.
         A single fold on every row is ``np.ones((1, n))``. Any other shape
         or entry raises ``ValueError``.
+
+    Every check runs before the first weight is drawn, so a rejected call
+    leaves ``rng`` where it was.
 
     Returns ``(params, losses, restart_losses)`` where ``params`` is a list
     of arrays with a leading fold axis (layer l has shape (F, out, in))
@@ -183,7 +189,11 @@ def train_batched(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     fold_masks = np.asarray(fold_masks, dtype=float)
+    if X.ndim != 2 or X.shape[1] != arch.input_dim:
+        raise ValueError(f"X of shape {X.shape} must be (n, {arch.input_dim})")
     n = X.shape[0]
+    if y.shape != (n,):
+        raise ValueError(f"y of shape {y.shape} must be ({n},)")
     if not (
         fold_masks.ndim == 2
         and fold_masks.shape[0] >= 1
@@ -279,7 +289,7 @@ def _train_chunk(
         grads = _gradients(params, X, y, acts, out, mask, scratch)
         gmax = np.zeros(alive.size)
         for g in grads:
-            gmax = np.maximum(gmax, np.abs(g).reshape(alive.size, -1).max(axis=1))
+            gmax = np.maximum(gmax, np.abs(g).max(axis=(1, 2)))
         done = (gmax < _GRADIENT_TOLERANCE) | (step < _MIN_STEP)
         if done.any():
             retire(done)

@@ -370,7 +370,7 @@ def export_curves(
     for spec, sub in zip(specs, fit_streams):
         scores = score_matrix(dataset, spec.learner, point[None, :], sub)[:, 0]
         grid = curve_grid(scores, grid_points)
-        rows.extend((spec.label, float(y), float(pv)) for y, pv in grid)
+        rows.extend((spec.label, y, pv) for y, pv in grid.tolist())
     mu_new = float(scenario.mean_response(point[None, :])[0])
     rows.extend(oracle_curve_rows(mu_new, float(np.sqrt(scenario.sigma2)), grid_points))
     return rows

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from predcurves.linalg import least_squares
+from predcurves.linalg import least_squares, solve_upper
 
 
 def test_intercept_only_is_mean():
@@ -107,3 +108,51 @@ def test_hat_cross_many_matches_single():
         one_row = fit.hat_cross_many(points[j : j + 1])
         np.testing.assert_allclose(many[:, j], one_row[:, 0], atol=1e-12)
     assert fit.hat_cross_many(points[:0]).shape == (18, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_response_rejected(bad):
+    gen = np.random.default_rng(31)
+    X = gen.standard_normal((10, 3))
+    y = gen.standard_normal(10)
+    y[2] = bad
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        least_squares(X, y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_design_rejected(bad):
+    gen = np.random.default_rng(32)
+    X = gen.standard_normal((10, 3))
+    X[4, 1] = bad
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        least_squares(X, gen.standard_normal(10))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_query_point_rejected(bad):
+    gen = np.random.default_rng(33)
+    fit = least_squares(gen.standard_normal((10, 3)), gen.standard_normal(10))
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        fit.hat_cross_many(np.array([[1.0, 0.5, 2.0], [1.0, bad, 2.0]]))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("trans", ["N", "T"])
+@pytest.mark.parametrize("rhs_shape", [(4,), (4, 3)], ids=["1-d", "2-d"])
+def test_solve_upper_matches_scipy_bit_for_bit(order, trans, rhs_shape):
+    gen = np.random.default_rng(41)
+    _, r = np.linalg.qr(gen.standard_normal((30, 4)))
+    r = np.asarray(r, order=order)
+    b = gen.standard_normal(rhs_shape)
+    x = solve_upper(r, b, trans=trans == "T")
+    assert x.shape == rhs_shape
+    np.testing.assert_array_equal(x, scipy.linalg.solve_triangular(r, b, trans=trans))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solve_upper_zero_diagonal_raises(order):
+    r = np.asarray(np.triu(np.ones((3, 3))), order=order)
+    r[1, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        solve_upper(r, np.ones(3))

@@ -303,6 +303,20 @@ class TestTrainer:
             train_batched(TRUE_SHAPE, SINGLE_RESTART, ds.X, ds.y, gen, masks)
         assert gen.random() == RngStream(18, 1).generator().random()
 
+    @pytest.mark.parametrize(
+        "X_shape, y_size, match",
+        [((10, 3), 1, "y of shape"), ((10, 3), 9, "y of shape"), ((10, 2), 10, "X of shape"),
+         ((10,), 10, "X of shape")],
+        ids=["y-length-one", "y-short", "X-narrow", "X-one-dim"],
+    )
+    def test_bad_data_shapes_rejected_before_any_draw(self, X_shape, y_size, match):
+        gen = RngStream(19, 1).generator()
+        with pytest.raises(ValueError, match=match):
+            train_batched(
+                TRUE_SHAPE, SINGLE_RESTART, np.ones(X_shape), np.ones(y_size), gen, np.ones((1, 10))
+            )
+        assert gen.random() == RngStream(19, 1).generator().random()
+
     def test_input_indices_subset(self):
         ds = Dataset(np.arange(30.0).reshape(10, 3), np.arange(10.0))
         learner = MlpLearner(

@@ -65,6 +65,33 @@ class TestSampleMvn:
         with pytest.raises(ValueError, match="covariance not positive definite"):
             sample_mvn(np.zeros(2), bad, RngStream(0).generator(), size=1)
 
+    @pytest.mark.parametrize(
+        "bad", [[[1.0, 0.5], [0.1, 1.0]], [[1.0, 2.0], [2.0, 1.0]]], ids=["asymmetric", "indefinite"]
+    )
+    def test_invalid_covariance_rejected_on_every_call(self, bad):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="covariance not positive definite"):
+                sample_mvn(np.zeros(2), np.array(bad), RngStream(0).generator(), size=1)
+
+    def test_draws_are_mean_plus_cholesky_product(self):
+        mean = np.array([0.3, -1.0, 2.0])
+        cov = ar_covariance(3, 0.6)
+        for _ in range(3):  # the first call factors, the others reuse the factor
+            z = RngStream(2026, 3).generator().standard_normal((50, 3))
+            draws = sample_mvn(mean, cov, RngStream(2026, 3).generator(), size=50)
+            np.testing.assert_array_equal(draws, mean + z @ np.linalg.cholesky(cov).T)
+
+    def test_covariance_changed_in_place_gets_a_new_factor(self):
+        cov = ar_covariance(2, 0.5)
+        sample_mvn(np.zeros(2), cov, RngStream(0).generator(), size=1)
+        cov *= 4.0
+        z = RngStream(0).generator().standard_normal((20, 2))
+        draws = sample_mvn(np.zeros(2), cov, RngStream(0).generator(), size=20)
+        np.testing.assert_array_equal(draws, z @ np.linalg.cholesky(cov).T)
+        cov[0, 1] = 5.0
+        with pytest.raises(ValueError, match="covariance not positive definite"):
+            sample_mvn(np.zeros(2), cov, RngStream(0).generator(), size=1)
+
 
 class TestSampleNoncentralT:
     def test_large_df_near_normal(self):
