@@ -18,12 +18,21 @@ and the momentum reset. Two standard configurations are exposed:
 Everything is batched: restarts, and optionally leave-one-out folds
 (via per-fold sample masks), train together as stacked tensors of
 networks, which is what makes jackknife-plus with neural learners
-affordable. Large batches train in chunks of networks that fit a fixed
-memory budget, one chunk after another in the same buffers.
+affordable. A large batch is split into contiguous slices, one per CPU
+the process may run on: the first trains in the calling process, each
+other one in a child forked for that call. Within a process, a slice
+trains in chunks of networks that fit a fixed memory budget, one chunk
+after another in the same buffers.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
+import signal
+import sys
+import threading
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +42,12 @@ from .conformal import Dataset
 _MIN_STEP = 1e-15
 # bytes of the activation and scratch buffers one chunk of networks trains in
 _CHUNK_BYTES = 16 * 2**20
+# buffer bytes x iterations below which a call trains in one process: a fork,
+# its copy-on-write faults and the wait cost 5-10 ms at ~90 MB RSS. Timed at
+# n = 100 on 2 cores, calls of half this work took 20 ms in one process and
+# 27-32 ms in two, calls of this work broke even at 18-35 ms, and calls of
+# twice this work took 41-70 ms in one process and 35-44 ms in two
+_MIN_FORK_WORK = 2**26
 _MOMENTUM = 0.9
 _GRADIENT_TOLERANCE = 1e-6
 
@@ -171,20 +186,29 @@ def train_batched(
     holding each fold's best restart, ``losses`` (F,) their final losses
     and ``restart_losses`` (F, restarts) every restart's final loss.
 
-    Every network's initial weights are drawn up front, in one draw per
-    layer over the whole fold-major batch. The networks then train in
-    chunks of consecutive networks, as many as fit ``_CHUNK_BYTES`` of
-    buffers (at least one), one chunk after another. A chunk may split a
+    Every network's initial weights are drawn up front, in this process,
+    in one draw per layer over the whole fold-major batch. The batch is
+    then split into contiguous slices of near-equal size, one per CPU in
+    the process's affinity mask and at most one per network; a call whose
+    buffer bytes times iteration budget is under ``_MIN_FORK_WORK`` keeps
+    one slice. This process trains the first slice and a forked child each
+    other one; a child hands its final weights and losses back through an
+    anonymous shared map. Within a process the networks train in chunks of
+    consecutive networks, as many as fit ``_CHUNK_BYTES`` of buffers (at
+    least one), one chunk after another. Slices and chunks may split a
     fold's restarts. Networks never interact, so each one follows the same
-    trajectory, to the bit, whatever the chunk size.
+    trajectory, to the bit, whatever the slice and chunk sizes.
 
-    The buffers are allocated once per call, sized to one chunk: two sets
-    of activations, which swap roles between current and candidate every
-    iteration, and two scratch arrays for the backward pass. Each chunk's
-    final weights overwrite its initial ones, and each fold's best restart
-    then replaces the batch one layer at a time. So a call's peak memory is
-    every network's weights, one chunk's buffers and scratch, and one layer
-    of the selected networks.
+    Each process allocates its buffers once, sized to one chunk of its
+    slice: two sets of activations, which swap roles between current and
+    candidate every iteration, and two scratch arrays for the backward
+    pass. Each chunk's final weights overwrite its initial ones, and each
+    fold's best restart then replaces the batch one layer at a time. Peak
+    memory is per process: in this one, every network's weights, one
+    chunk's buffers and scratch, the children's final weights as they are
+    copied back, and one layer of the selected networks; in a child, the
+    pages it shares with this process, its own chunk buffers and its
+    slice's weights.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -209,17 +233,22 @@ def train_batched(
     batch = n_folds * n_restarts
 
     params = _init_params(arch, rng, batch)
-    chunk = min(batch, max(1, _CHUNK_BYTES // _network_bytes(arch, n)))
-    widths = arch.widths[1:]
-    act_sets = [[np.empty((chunk, n, w)) for w in widths] for _ in range(2)]
-    scratch = [np.empty(chunk * n * max(widths)) for _ in range(2)]
     final_loss = np.empty(batch)
-    for start in range(0, batch, chunk):
-        stop = min(start + chunk, batch)
-        final_loss[start:stop] = _train_chunk(
-            [W[start:stop] for W in params], X, y, fold_masks[np.arange(start, stop) // n_restarts],
-            config, act_sets, scratch,
-        )
+    widths = arch.widths[1:]
+
+    def train_range(lo: int, hi: int) -> None:
+        chunk = min(hi - lo, max(1, _CHUNK_BYTES // _network_bytes(arch, n)))
+        act_sets = [[np.empty((chunk, n, w)) for w in widths] for _ in range(2)]
+        scratch = [np.empty(chunk * n * max(widths)) for _ in range(2)]
+        for start in range(lo, hi, chunk):
+            stop = min(start + chunk, hi)
+            final_loss[start:stop] = _train_chunk(
+                [W[start:stop] for W in params], X, y, fold_masks[np.arange(start, stop) // n_restarts],
+                config, act_sets, scratch,
+            )
+
+    slices = _slice_count(batch, batch * _network_bytes(arch, n) * config.max_iterations)
+    _run_slices(train_range, [*params, final_loss], [batch * s // slices for s in range(slices + 1)])
 
     restart_losses = final_loss.reshape(n_folds, n_restarts)
     sel = np.arange(n_folds) * n_restarts + restart_losses.argmin(axis=1)
@@ -227,6 +256,77 @@ def train_batched(
     for layer in range(len(params)):
         params[layer] = params[layer][sel]
     return params, final_loss[sel], restart_losses
+
+
+def _slice_count(batch: int, work: int) -> int:
+    """Slices, one process each, that a batch of ``batch`` networks trains in.
+
+    One per CPU in this process's affinity mask, and at most one per
+    network. ``work`` is the call's buffer bytes times its iteration
+    budget; below ``_MIN_FORK_WORK`` the batch trains in one slice. So does
+    a process that runs other threads: a forked child would inherit their
+    locks but not the threads that release them.
+    """
+    if work < _MIN_FORK_WORK or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return min(batch, len(os.sched_getaffinity(0)))
+
+
+def _run_slices(train, arrays: list, bounds: list) -> None:
+    """Run ``train(lo, hi)`` on each slice ``bounds[s]:bounds[s + 1]``.
+
+    ``train(lo, hi)`` fills rows ``lo:hi`` of every array in ``arrays``
+    (a leading network axis each). Slice 0 runs in this process; every
+    other slice runs in a child forked for it, which writes its rows into
+    an anonymous shared map and leaves by ``os._exit``. Once every child
+    has exited cleanly, their rows are copied back from the map. A child
+    that fails raises ``RuntimeError`` here; whatever ends this call early,
+    children still running are killed and reaped before it returns.
+    """
+    first = bounds[1]
+    if first == bounds[-1]:
+        train(0, first)
+        return
+    sizes = [A[first:].nbytes for A in arrays]
+    shared = mmap.mmap(-1, sum(sizes))
+    offsets = np.cumsum([0, *sizes[:-1]])
+    rows = [np.ndarray(A[first:].shape, buffer=shared, offset=o) for A, o in zip(arrays, offsets)]
+    children = {}
+    try:
+        for s in range(1, len(bounds) - 1):
+            lo, hi = bounds[s], bounds[s + 1]
+            pid = os.fork()
+            if pid == 0:
+                # the child never returns into the caller's frames
+                code = 1
+                try:
+                    train(lo, hi)
+                    for A, R in zip(arrays, rows):
+                        R[lo - first : hi - first] = A[lo:hi]
+                    code = 0
+                except BaseException:
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(code)
+            children[pid] = s
+        train(0, first)
+        for pid in list(children):
+            status = os.waitpid(pid, 0)[1]
+            s = children.pop(pid)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"exit code {code}" if code >= 0 else f"signal {-code}"
+                raise RuntimeError(
+                    f"training slice {s} (networks {bounds[s]}:{bounds[s + 1]}) failed in child "
+                    f"process {pid} with {how}"
+                )
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for A, R in zip(arrays, rows):
+        A[first:] = R
 
 
 def _train_chunk(

@@ -13,9 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from predcurves import mlp
 from predcurves.cli import main
 
 REFERENCE_MD5 = {
@@ -180,6 +185,24 @@ def test_nn_curves(capsys):
         assert math.fsum(y for y, _ in got) == pytest.approx(sum_y, abs=CURVE_TOL)
         assert math.fsum(pv for _, pv in got) == pytest.approx(sum_pv, abs=CURVE_TOL)
         assert math.fsum(y * pv for y, pv in got) == pytest.approx(sum_ypv, abs=CURVE_TOL)
+
+
+def test_nn_curves_bytes_hold_across_processes_and_blas_threads(capsys, monkeypatch):
+    # the trainer's networks never interact, so neither the number of
+    # slices the batch is split into nor the BLAS thread count may move a
+    # byte; the subprocess runs beside the in-process runs to save time
+    command = "curves --seed 8 --scenario nn --n-train 100 --x-new sample-mean"
+    src = str(Path(mlp.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    with subprocess.Popen(
+        [sys.executable, "-m", "predcurves.cli", *command.split()], stdout=subprocess.PIPE, env=env
+    ) as proc:
+        for slices in (1, 2):
+            monkeypatch.setattr(mlp, "_slice_count", lambda batch, work: min(batch, slices))
+            assert _md5(_run(command, capsys)) == REFERENCE_MD5[command], f"{slices} slices"
+        out = proc.communicate(timeout=300)[0]
+    assert proc.returncode == 0
+    assert hashlib.md5(out).hexdigest() == REFERENCE_MD5[command]
 
 
 def test_verify(capsys):

@@ -1,4 +1,7 @@
+import os
 import re
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -349,7 +352,9 @@ class TestChunks:
     def test_chunk_size_moves_no_bit(self, widths, restarts, monkeypatch):
         # chunks of 1 network, of 7 (which splits a fold's restarts) and of
         # the whole batch; the large first step makes networks retire by
-        # tolerance and by step underflow at different iterations
+        # tolerance and by step underflow at different iterations. One slice,
+        # so that every chunk runs in this process, where the spy sees it
+        monkeypatch.setattr(mlp, "_slice_count", lambda batch, work: 1)
         arch = MlpArchitecture(widths)
         ds, _ = gen_nn(NnScenario(), True, RngStream(16, 0).generator(), n_train=12, n_test=0)
         config = TrainerConfig(restarts=restarts, max_iterations=200, initial_step=10.0)
@@ -380,7 +385,9 @@ class TestChunks:
 
     def test_small_budget_bounds_peak_memory(self, monkeypatch):
         # numpy reports its buffers to tracemalloc; a call's peak must follow
-        # the chunk budget, not the number of folds
+        # the chunk budget, not the number of folds. One slice, so that the
+        # whole call runs in the traced process
+        monkeypatch.setattr(mlp, "_slice_count", lambda batch, work: 1)
         arch = MlpArchitecture((3, *[20] * 7, 1))
         ds, _ = gen_nn(NnScenario(), True, RngStream(17, 0).generator(), n_train=80, n_test=0)
         config = TrainerConfig(restarts=1, max_iterations=3)
@@ -398,7 +405,9 @@ class TestChunks:
     def test_peak_memory_holds_the_selected_networks_once(self, restarts, monkeypatch):
         # all initial weights stay held for the whole call; past them a call
         # may take its chunk budget and a slack of half the selected networks'
-        # weights, so a second copy of the selected networks does not fit
+        # weights, so a second copy of the selected networks does not fit.
+        # One slice, so that the whole call runs in the traced process
+        monkeypatch.setattr(mlp, "_slice_count", lambda batch, work: 1)
         arch = MlpArchitecture((3, *[20] * 7, 1))
         ds, _ = gen_nn(NnScenario(), True, RngStream(17, 0).generator(), n_train=80, n_test=0)
         config = TrainerConfig(restarts=restarts, max_iterations=3)
@@ -409,3 +418,98 @@ class TestChunks:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < restarts * selected + mlp._CHUNK_BYTES + selected / 2
+
+
+def _force_slices(monkeypatch, slices: int) -> list:
+    """Make ``train_batched`` split its batch into ``slices`` (at most one per network); return its bounds per call."""
+    seen = []
+    run_slices = mlp._run_slices
+
+    def spy(train, arrays, bounds):
+        seen.append(bounds)
+        return run_slices(train, arrays, bounds)
+
+    monkeypatch.setattr(mlp, "_slice_count", lambda batch, work: min(batch, slices))
+    monkeypatch.setattr(mlp, "_run_slices", spy)
+    return seen
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSlices:
+    # the large first step of TestChunks' config makes networks retire by
+    # tolerance and by step underflow at different iterations
+    @pytest.mark.parametrize(
+        "widths, restarts, folds",
+        [((3, 2, 1), 1, 1), ((3, 2, 1), 1, 7), ((3, 2, 1), 3, 5), ((3, 2, 1), 3, 12), ((3, 6, 6, 1), 2, 12)],
+        ids=["batch-1", "odd-batch", "split-restarts", "retiring", "depth-3"],
+    )
+    def test_slice_count_moves_no_bit(self, widths, restarts, folds, monkeypatch):
+        # 15 networks in 2 or 3 slices split fold 2's restarts, or folds 1 and 3
+        arch = MlpArchitecture(widths)
+        ds, _ = gen_nn(NnScenario(), True, RngStream(16, 0).generator(), n_train=12, n_test=0)
+        config = TrainerConfig(restarts=restarts, max_iterations=200, initial_step=10.0)
+        masks = np.ones((1, 12)) if folds == 1 else (1.0 - np.eye(12))[:folds]
+        runs = {}
+        for slices in (1, 2, 3):
+            seen = _force_slices(monkeypatch, slices)
+            runs[slices] = train_batched(arch, config, ds.X, ds.y, RngStream(16, 1).generator(), masks)
+            assert len(seen) == 1 and len(seen[0]) == min(folds * restarts, slices) + 1
+            _assert_no_child_left()
+        best, losses, restart_losses = runs[1]
+        for slices in (2, 3):
+            sliced_best, sliced_losses, sliced_restart_losses = runs[slices]
+            for a, b in zip(sliced_best, best):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(sliced_losses, losses)
+            np.testing.assert_array_equal(sliced_restart_losses, restart_losses)
+
+    def _fail_in(self, monkeypatch, child, parent):
+        """Run ``child`` in place of a chunk's training in a forked child, ``parent`` in this process."""
+        me = os.getpid()
+        monkeypatch.setattr(mlp, "_train_chunk", lambda *args: parent() if os.getpid() == me else child())
+        _force_slices(monkeypatch, 2)
+        ds, _ = gen_nn(NnScenario(), True, RngStream(20, 0).generator(), n_train=12, n_test=0)
+        return lambda: train_batched(
+            TRUE_SHAPE, SINGLE_RESTART, ds.X, ds.y, RngStream(20, 1).generator(), 1.0 - np.eye(12)
+        )
+
+    def test_failed_child_names_its_slice(self, monkeypatch):
+        def child():
+            raise ValueError("slice fails")
+
+        call = self._fail_in(monkeypatch, child, lambda: np.zeros(6))
+        with pytest.raises(RuntimeError, match=r"training slice 1 \(networks 6:12\) failed .* exit code 1"):
+            call()
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_failed_parent_kills_and_reaps_its_child(self, error, monkeypatch):
+        def parent():
+            raise error("parent slice fails")
+
+        call = self._fail_in(monkeypatch, lambda: time.sleep(60), parent)
+        start = time.perf_counter()
+        with pytest.raises(error, match="parent slice fails"):
+            call()
+        assert time.perf_counter() - start < 30
+        _assert_no_child_left()
+
+    def test_a_process_with_threads_trains_in_one_slice(self):
+        # a forked child would inherit the other thread's locks, not the thread
+        work = 2 * mlp._MIN_FORK_WORK
+        assert mlp._slice_count(1, work) == 1
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert mlp._slice_count(64, work) == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert mlp._slice_count(64, work) == min(64, len(os.sched_getaffinity(0)))
+        assert mlp._slice_count(64, mlp._MIN_FORK_WORK - 1) == 1
