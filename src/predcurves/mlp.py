@@ -287,10 +287,11 @@ def _run_slices(train, arrays: list, bounds: list) -> None:
     if first == bounds[-1]:
         train(0, first)
         return
-    sizes = [A[first:].nbytes for A in arrays]
-    shared = mmap.mmap(-1, sum(sizes))
-    offsets = np.cumsum([0, *sizes[:-1]])
-    rows = [np.ndarray(A[first:].shape, buffer=shared, offset=o) for A, o in zip(arrays, offsets)]
+    # each array's rows start on a page, so its pages can be freed alone
+    spans = [-(-A[first:].nbytes // mmap.PAGESIZE) * mmap.PAGESIZE for A in arrays]
+    offsets = np.cumsum([0, *spans[:-1]]).tolist()
+    shared = mmap.mmap(-1, sum(spans))
+    rows = [np.ndarray(A[first:].shape, A.dtype, shared, o) for A, o in zip(arrays, offsets)]
     children = {}
     try:
         for s in range(1, len(bounds) - 1):
@@ -325,8 +326,11 @@ def _run_slices(train, arrays: list, bounds: list) -> None:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for A, R in zip(arrays, rows):
+    # each array's pages are freed once copied, so this process never maps all
+    # of the children's rows beside the batch
+    for A, R, offset, span in zip(arrays, rows, offsets, spans):
         A[first:] = R
+        shared.madvise(mmap.MADV_REMOVE, offset, span)
 
 
 def _train_chunk(
