@@ -36,6 +36,7 @@ from .mlp import OPT_MSE, SINGLE_RESTART, TrainerConfig
 from .rng import RngStream
 from .scenarios import LinearScenario, NnScenario
 from .studies import (
+    X_NEW_MODES,
     export_curves,
     linear_learner_specs,
     nn_learner_specs,
@@ -84,9 +85,6 @@ SIZES = {
     "table3": ("desk", {"desk": (100, 5, (5, 5)), "paper": (300, 10, (20, 100))}),
     "curves": ("paper", {"desk": (100, None, (5, 5)), "paper": (300, None, (5, 5))}),
 }
-
-_X_NEW_MODES = ("sample-mean", "iid-draw", "non-iid-draw")
-
 
 class UsageError(Exception):
     pass
@@ -173,13 +171,13 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
 
 
 def _parse_x_new(text: str):
-    if text in _X_NEW_MODES:
+    if text in X_NEW_MODES:
         return text
     try:
         return np.array([float(tok) for tok in text.split(",")])
     except ValueError:
         raise UsageError(
-            f"--x-new must be one of {_X_NEW_MODES} or comma-separated floats, got {text!r}"
+            f"--x-new must be one of {X_NEW_MODES} or comma-separated floats, got {text!r}"
         )
 
 

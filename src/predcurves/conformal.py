@@ -121,6 +121,11 @@ def predictive_cdf(scores: np.ndarray, y):
     return np.searchsorted(s, y, side="right") / s.size
 
 
+def two_sided_curve(cdf):
+    """The two-sided curve ``2 min(F, 1 - F)`` of distribution-function values ``F``."""
+    return 2.0 * np.minimum(cdf, 1.0 - cdf)
+
+
 def predictive_curve(scores: np.ndarray, y):
     """Two-sided curve ``2 min(Q(y), 1 - Q(y))``, in [0, 1]; scalar or array ``y``.
 
@@ -128,8 +133,7 @@ def predictive_curve(scores: np.ndarray, y):
     intervals of every level; the peak marks a median-unbiased point
     prediction.
     """
-    q = predictive_cdf(scores, y)
-    return 2.0 * np.minimum(q, 1.0 - q)
+    return two_sided_curve(predictive_cdf(scores, y))
 
 
 def interval_from_scores(

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .conformal import two_sided_curve
+
 
 @dataclass(frozen=True)
 class GaussianToySample:
@@ -52,8 +54,7 @@ def confidence_cdf(sample: GaussianToySample, theta):
 
 def confidence_curve(sample: GaussianToySample, theta):
     """``2 min(H, 1 - H)``; equals 1 at ``theta = ybar``."""
-    h = confidence_cdf(sample, theta)
-    return 2.0 * np.minimum(h, 1.0 - h)
+    return two_sided_curve(confidence_cdf(sample, theta))
 
 
 def predictive_cdf_toy(sample: GaussianToySample, y):
@@ -63,5 +64,4 @@ def predictive_cdf_toy(sample: GaussianToySample, y):
 
 def predictive_curve_toy(sample: GaussianToySample, y):
     """``2 min(Q, 1 - Q)``; peaks at the sample mean."""
-    q = predictive_cdf_toy(sample, y)
-    return 2.0 * np.minimum(q, 1.0 - q)
+    return two_sided_curve(predictive_cdf_toy(sample, y))

@@ -42,11 +42,12 @@ from .conformal import Dataset
 _MIN_STEP = 1e-15
 # bytes of the activation and scratch buffers one chunk of networks trains in
 _CHUNK_BYTES = 16 * 2**20
-# buffer bytes x iterations below which a call trains in one process: a fork,
-# its copy-on-write faults and the wait cost 5-10 ms at ~90 MB RSS. Timed at
-# n = 100 on 2 cores, calls of half this work took 20 ms in one process and
-# 27-32 ms in two, calls of this work broke even at 18-35 ms, and calls of
-# twice this work took 41-70 ms in one process and 35-44 ms in two
+# buffer bytes x iterations below which a call trains in one process: a bare
+# fork and wait take ~2.5 ms at ~120 MB RSS, plus the child's page faults and
+# the slowdown of two busy cores. Timed at n = 100 on 2 cores (depth-5 LOO
+# batches, ~145 MB RSS, medians of 3 runs), calls of half this work took
+# 23-36 ms in one process and 30-40 ms in two, of this work 29-43 and 36-45
+# ms, and of twice this work 43-66 and 43-52 ms
 _MIN_FORK_WORK = 2**26
 _MOMENTUM = 0.9
 _GRADIENT_TOLERANCE = 1e-6
@@ -90,13 +91,19 @@ OPT_MSE = TrainerConfig()
 SINGLE_RESTART = TrainerConfig(restarts=1, max_iterations=500)
 
 
-def _init_params(arch: MlpArchitecture, gen: np.random.Generator, batch: int) -> list:
-    """ReLU-scaled init: weights ~ Normal(0, 2 / fan_in)."""
+def _init_params(arch: MlpArchitecture, gen: np.random.Generator, batch: int, empty=np.empty) -> list:
+    """ReLU-scaled init: weights ~ Normal(0, 2 / fan_in), drawn and scaled in ``empty(shape)``."""
     params = []
     for fan_in, fan_out in zip(arch.widths[:-1], arch.widths[1:]):
-        std = np.sqrt(2.0 / fan_in)
-        params.append(std * gen.standard_normal((batch, fan_out, fan_in)))
+        W = gen.standard_normal(out=empty((batch, fan_out, fan_in)))
+        W *= np.sqrt(2.0 / fan_in)
+        params.append(W)
     return params
+
+
+def _shared_empty(shape) -> np.ndarray:
+    """An uninitialised float array on its own anonymous shared map, for forked children to write."""
+    return np.ndarray(shape, float, mmap.mmap(-1, 8 * int(np.prod(shape))))
 
 
 def _forward(params: list, X: np.ndarray, bufs: list | None = None) -> tuple[list, np.ndarray]:
@@ -192,23 +199,24 @@ def train_batched(
     the process's affinity mask and at most one per network; a call whose
     buffer bytes times iteration budget is under ``_MIN_FORK_WORK`` keeps
     one slice. This process trains the first slice and a forked child each
-    other one; a child hands its final weights and losses back through an
-    anonymous shared map. Within a process the networks train in chunks of
-    consecutive networks, as many as fit ``_CHUNK_BYTES`` of buffers (at
-    least one), one chunk after another. Slices and chunks may split a
-    fold's restarts. Networks never interact, so each one follows the same
-    trajectory, to the bit, whatever the slice and chunk sizes.
+    other one. A call of several slices draws the weights, and allocates
+    the final losses, on anonymous shared maps, one per array, so every
+    child trains its rows in place. Within a process the networks train
+    in chunks of consecutive networks, as many as fit ``_CHUNK_BYTES`` of
+    buffers (at least one), one chunk after another. Slices and chunks may
+    split a fold's restarts. Networks never interact, so each one follows
+    the same trajectory, to the bit, whatever the slice and chunk sizes.
 
     Each process allocates its buffers once, sized to one chunk of its
     slice: two sets of activations, which swap roles between current and
     candidate every iteration, and two scratch arrays for the backward
     pass. Each chunk's final weights overwrite its initial ones, and each
-    fold's best restart then replaces the batch one layer at a time. Peak
+    fold's best restart then replaces the batch one layer at a time, which
+    frees that layer's map; no returned array is a view into one. Peak
     memory is per process: in this one, every network's weights, one
-    chunk's buffers and scratch, the children's final weights as they are
-    copied back, and one layer of the selected networks; in a child, the
-    pages it shares with this process, its own chunk buffers and its
-    slice's weights.
+    chunk's buffers and scratch, and one layer of the selected networks;
+    in a child, the pages it shares with this process and its own chunk
+    buffers.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -232,8 +240,11 @@ def train_batched(
     n_restarts = config.restarts
     batch = n_folds * n_restarts
 
-    params = _init_params(arch, rng, batch)
-    final_loss = np.empty(batch)
+    slices = _slice_count(batch, batch * _network_bytes(arch, n) * config.max_iterations)
+    # children train their rows in place, so they must share every output array
+    empty = np.empty if slices == 1 else _shared_empty
+    params = _init_params(arch, rng, batch, empty)
+    final_loss = empty(batch)
     widths = arch.widths[1:]
 
     def train_range(lo: int, hi: int) -> None:
@@ -247,10 +258,10 @@ def train_batched(
                 config, act_sets, scratch,
             )
 
-    slices = _slice_count(batch, batch * _network_bytes(arch, n) * config.max_iterations)
-    _run_slices(train_range, [*params, final_loss], [batch * s // slices for s in range(slices + 1)])
+    _run_slices(train_range, [batch * s // slices for s in range(slices + 1)])
 
-    restart_losses = final_loss.reshape(n_folds, n_restarts)
+    # copies, so that no returned array keeps a shared map alive
+    restart_losses = final_loss.reshape(n_folds, n_restarts).copy()
     sel = np.arange(n_folds) * n_restarts + restart_losses.argmin(axis=1)
     # one layer at a time, so the whole batch is never held twice
     for layer in range(len(params)):
@@ -272,38 +283,24 @@ def _slice_count(batch: int, work: int) -> int:
     return min(batch, len(os.sched_getaffinity(0)))
 
 
-def _run_slices(train, arrays: list, bounds: list) -> None:
+def _run_slices(train, bounds: list) -> None:
     """Run ``train(lo, hi)`` on each slice ``bounds[s]:bounds[s + 1]``.
 
-    ``train(lo, hi)`` fills rows ``lo:hi`` of every array in ``arrays``
-    (a leading network axis each). Slice 0 runs in this process; every
-    other slice runs in a child forked for it, which writes its rows into
-    an anonymous shared map and leaves by ``os._exit``. Once every child
-    has exited cleanly, their rows are copied back from the map. A child
+    Slice 0 runs in this process; every other slice runs in a child forked
+    for it, which leaves by ``os._exit``. A child's results reach this
+    process only through what ``train`` writes to shared maps. A child
     that fails raises ``RuntimeError`` here; whatever ends this call early,
     children still running are killed and reaped before it returns.
     """
-    first = bounds[1]
-    if first == bounds[-1]:
-        train(0, first)
-        return
-    # each array's rows start on a page, so its pages can be freed alone
-    spans = [-(-A[first:].nbytes // mmap.PAGESIZE) * mmap.PAGESIZE for A in arrays]
-    offsets = np.cumsum([0, *spans[:-1]]).tolist()
-    shared = mmap.mmap(-1, sum(spans))
-    rows = [np.ndarray(A[first:].shape, A.dtype, shared, o) for A, o in zip(arrays, offsets)]
     children = {}
     try:
         for s in range(1, len(bounds) - 1):
-            lo, hi = bounds[s], bounds[s + 1]
             pid = os.fork()
             if pid == 0:
                 # the child never returns into the caller's frames
                 code = 1
                 try:
-                    train(lo, hi)
-                    for A, R in zip(arrays, rows):
-                        R[lo - first : hi - first] = A[lo:hi]
+                    train(bounds[s], bounds[s + 1])
                     code = 0
                 except BaseException:
                     traceback.print_exc()
@@ -311,7 +308,7 @@ def _run_slices(train, arrays: list, bounds: list) -> None:
                 finally:
                     os._exit(code)
             children[pid] = s
-        train(0, first)
+        train(0, bounds[1])
         for pid in list(children):
             status = os.waitpid(pid, 0)[1]
             s = children.pop(pid)
@@ -326,11 +323,6 @@ def _run_slices(train, arrays: list, bounds: list) -> None:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    # each array's pages are freed once copied, so this process never maps all
-    # of the children's rows beside the batch
-    for A, R, offset, span in zip(arrays, rows, offsets, spans):
-        A[first:] = R
-        shared.madvise(mmap.MADV_REMOVE, offset, span)
 
 
 def _train_chunk(

@@ -28,6 +28,7 @@ from .conformal import (
     curve_grid,
     interval_from_scores,
     require_loo_rows,
+    two_sided_curve,
 )
 from .learners import FeatureMap, OlsLearner
 from .mlp import (
@@ -331,9 +332,12 @@ def oracle_curve_rows(mu_new: float, sigma: float, points: int) -> list[tuple[st
     """
     base = np.linspace(mu_new - 4.5 * sigma, mu_new + 4.5 * sigma, points)
     ys = np.union1d(base, [mu_new])
-    q = ndtr((ys - mu_new) / sigma)
-    pv = 2.0 * np.minimum(q, 1.0 - q)
+    pv = two_sided_curve(ndtr((ys - mu_new) / sigma))
     return [("oracle", float(y), float(p)) for y, p in zip(ys, pv)]
+
+
+# the named test covariates of ``export_curves``
+X_NEW_MODES = ("sample-mean", "iid-draw", "non-iid-draw")
 
 
 def export_curves(
@@ -351,17 +355,14 @@ def export_curves(
     take one draw from the corresponding test law, and an explicit vector
     is used as is.
     """
+    if isinstance(x_new, str) and x_new not in X_NEW_MODES:
+        raise ValueError(f"unknown x_new selection {x_new!r}")
     n_train = scenario.n_train if n_train is None else n_train
     gen = RngStream(seed, 0).generator()
     iid = not (isinstance(x_new, str) and x_new == "non-iid-draw")
     dataset, (X_test, _) = _generate(scenario, iid, gen, n_train, 1)
     if isinstance(x_new, str):
-        if x_new == "sample-mean":
-            point = dataset.X.mean(axis=0)
-        elif x_new in ("iid-draw", "non-iid-draw"):
-            point = X_test[0]
-        else:
-            raise ValueError(f"unknown x_new selection {x_new!r}")
+        point = dataset.X.mean(axis=0) if x_new == "sample-mean" else X_test[0]
     else:
         point = np.asarray(x_new, dtype=float)
 

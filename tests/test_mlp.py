@@ -1,5 +1,7 @@
+import mmap
 import os
 import re
+import signal
 import threading
 import time
 import tracemalloc
@@ -425,9 +427,9 @@ def _force_slices(monkeypatch, slices: int) -> list:
     seen = []
     run_slices = mlp._run_slices
 
-    def spy(train, arrays, bounds):
+    def spy(train, bounds):
         seen.append(bounds)
-        return run_slices(train, arrays, bounds)
+        return run_slices(train, bounds)
 
     monkeypatch.setattr(mlp, "_slice_count", lambda batch, work: min(batch, slices))
     monkeypatch.setattr(mlp, "_run_slices", spy)
@@ -485,6 +487,30 @@ class TestSlices:
         with pytest.raises(RuntimeError, match=r"training slice 1 \(networks 6:12\) failed .* exit code 1"):
             call()
         _assert_no_child_left()
+
+    def test_child_killed_by_a_signal_names_its_slice(self, monkeypatch):
+        def child():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        call = self._fail_in(monkeypatch, child, lambda: np.zeros(6))
+        with pytest.raises(RuntimeError, match=r"training slice 1 \(networks 6:12\) failed .* signal 9"):
+            call()
+        _assert_no_child_left()
+
+    def test_no_returned_array_views_a_shared_map(self, monkeypatch):
+        # a view would keep the whole batch's map of its layer alive
+        _force_slices(monkeypatch, 2)
+        ds, _ = gen_nn(NnScenario(), True, RngStream(21, 0).generator(), n_train=12, n_test=0)
+        config = TrainerConfig(restarts=2, max_iterations=20)
+        best, losses, restart_losses = train_batched(
+            TRUE_SHAPE, config, ds.X, ds.y, RngStream(21, 1).generator(), 1.0 - np.eye(12)
+        )
+        _assert_no_child_left()
+        for array in [*best, losses, restart_losses]:
+            base = array
+            while isinstance(base, np.ndarray) and base.base is not None:
+                base = base.base
+            assert not isinstance(base, mmap.mmap)
 
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
     def test_failed_parent_kills_and_reaps_its_child(self, error, monkeypatch):
