@@ -46,7 +46,7 @@ from .mlp import (
 from .quantiles import order_stat_index
 from .rng import RngStream
 from .sampling import sample_mvn, sample_noncentral_t
-from .scenarios import LinearScenario, NnScenario, ar_covariance, gen_linear, gen_nn
+from .scenarios import LinearScenario, NnScenario, ar_covariance, draw_dataset, gen_linear, gen_nn
 from .studies import (
     LearnerSpec,
     MonteCarloReport,

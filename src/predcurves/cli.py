@@ -149,8 +149,8 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
         raise UsageError("--seed must be an unsigned 64-bit integer")
     if not 0.0 < cfg.alpha < 1.0:
         raise UsageError(f"--alpha must be in (0, 1), got {cfg.alpha}")
-    if not cfg.cov_shift_scale > 0.0:
-        raise UsageError(f"--cov-shift-scale must be positive, got {cfg.cov_shift_scale}")
+    if not 0.0 < cfg.cov_shift_scale < np.inf:
+        raise UsageError(f"--cov-shift-scale must be positive and finite, got {cfg.cov_shift_scale}")
     for flag in ("n-train", "reps", "depth", "restarts", "n"):
         value = getattr(cfg, flag.replace("-", "_"))
         if value is not None and value < 1:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .conformal import interval_from_scores
 from .linalg import least_squares, solve_upper
-from .scenarios import LinearScenario, gen_linear
+from .scenarios import LinearScenario, draw_dataset
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def width_ordering_trial(
     ordering of the two widths is the cleanest. Returns
     ``(width_full, width_submodel)`` at level ``alpha``.
     """
-    dataset, _ = gen_linear(scenario, iid=True, rng=rng, n_train=n, n_test=0)
+    dataset, _ = draw_dataset(scenario, iid=True, rng=rng, n_train=n, n_test=0)
     ones = np.ones((n, 1))
     X = np.hstack([ones, dataset.X])
     Z = X[:, :2]

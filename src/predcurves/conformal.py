@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantiles import order_stat_index
+from .quantiles import level_rank, order_stat_index
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,9 @@ def interval_from_scores(
     ``scores`` is (n,) for one test point or (n, m) with one column per
     test point; ``lower`` and ``upper`` are then scalars or (m,) arrays.
     The endpoints are the ``alpha/2`` and ``1 - alpha/2`` quantiles of each
-    column. When ``n * alpha / 2 < 1`` they clamp to the extreme order
-    statistics and ``clamped`` is set; the coverage guarantee is
-    unaffected (the interval only widens).
+    column. When ``level_rank(n, alpha / 2) < 1`` they clamp to the
+    extreme order statistics and ``clamped`` is set; the coverage
+    guarantee is unaffected (the interval only widens).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -154,7 +154,7 @@ def interval_from_scores(
     n = s.shape[0]
     lower = s[order_stat_index(n, alpha / 2.0) - 1]
     upper = s[order_stat_index(n, 1.0 - alpha / 2.0) - 1]
-    return lower, upper, n * alpha / 2.0 < 1.0
+    return lower, upper, level_rank(n, alpha / 2.0) < 1.0
 
 
 def curve_grid(scores: np.ndarray, points: int) -> np.ndarray:

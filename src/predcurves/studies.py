@@ -39,7 +39,7 @@ from .mlp import (
     TrainerConfig,
 )
 from .rng import RngStream, labeled_generator
-from .scenarios import LinearScenario, NnScenario, draw_test_laws, gen_linear, gen_nn
+from .scenarios import LinearScenario, NnScenario, draw_dataset, draw_test_laws
 
 
 @dataclass(frozen=True)
@@ -119,19 +119,6 @@ def nn_learner_specs(
     ]
 
 
-def _generate(scenario, iid: bool, gen, n_train: int, n_test: int):
-    if isinstance(scenario, LinearScenario):
-        return gen_linear(scenario, iid, gen, n_train=n_train, n_test=n_test)
-    if isinstance(scenario, NnScenario):
-        return gen_nn(scenario, iid, gen, n_train=n_train, n_test=n_test)
-    raise TypeError(f"unknown scenario type {type(scenario)!r}")
-
-
-def _scenario_id(scenario, iid: bool) -> str:
-    family = "linear" if isinstance(scenario, LinearScenario) else "nn"
-    return f"{family}-{'iid' if iid else 'noniid'}"
-
-
 def score_matrix(dataset: Dataset, learner, X_test: np.ndarray, gen) -> np.ndarray:
     """Conformal scores for every test row; shape (n_train, n_test).
 
@@ -153,7 +140,7 @@ def score_matrix(dataset: Dataset, learner, X_test: np.ndarray, gen) -> np.ndarr
 
 
 def run_studies(
-    scenario,
+    scenario: LinearScenario | NnScenario,
     specs: list[LearnerSpec],
     alpha: float,
     reps: int,
@@ -177,7 +164,7 @@ def run_studies(
     width_total = [[0.0] * len(specs) for _ in laws]
     for rep in range(reps):
         gen = RngStream(seed, rep).generator()
-        dataset, _ = _generate(scenario, True, gen, n_train, 0)
+        dataset, _ = draw_dataset(scenario, True, gen, n_train, 0)
         tests = draw_test_laws(scenario, laws, gen, m)
         X_test = np.vstack([X for X, _ in tests])
         for s, spec in enumerate(specs):
@@ -196,7 +183,7 @@ def run_studies(
     evaluations = reps * m
     return [
         MonteCarloReport(
-            scenario=_scenario_id(scenario, iid),
+            scenario=f"{scenario.family}-{'iid' if iid else 'noniid'}",
             learner=spec.learner_id,
             estimator=spec.estimator_id,
             alpha=alpha,
@@ -317,7 +304,7 @@ def run_param_mse_study(
     sums = {est: np.zeros(len(PARAM_NAMES)) for est in configs}
     for rep in range(reps):
         gen = RngStream(seed, rep).generator()
-        dataset, _ = gen_nn(scenario, iid=True, rng=gen, n_train=n_train, n_test=0)
+        dataset, _ = draw_dataset(scenario, iid=True, rng=gen, n_train=n_train, n_test=0)
         fit_streams = gen.spawn(len(configs))
         for (est, config), sub in zip(configs.items(), fit_streams):
             model = MlpLearner(TRUE_SHAPE, config).fit(dataset, sub)
@@ -341,7 +328,7 @@ X_NEW_MODES = ("sample-mean", "iid-draw", "non-iid-draw")
 
 
 def export_curves(
-    scenario,
+    scenario: LinearScenario | NnScenario,
     specs: list[LearnerSpec],
     x_new="sample-mean",
     grid_points: int = 400,
@@ -360,7 +347,7 @@ def export_curves(
     n_train = scenario.n_train if n_train is None else n_train
     gen = RngStream(seed, 0).generator()
     iid = not (isinstance(x_new, str) and x_new == "non-iid-draw")
-    dataset, (X_test, _) = _generate(scenario, iid, gen, n_train, 1)
+    dataset, (X_test, _) = draw_dataset(scenario, iid, gen, n_train, 1)
     if isinstance(x_new, str):
         point = dataset.X.mean(axis=0) if x_new == "sample-mean" else X_test[0]
     else:

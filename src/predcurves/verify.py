@@ -19,10 +19,10 @@ from .conformal import Dataset, LooEnsemble, build_loo_ensemble, curve_grid
 from .gaussian_toy import GaussianToySample, predictive_curve_toy
 from .learners import FeatureMap, FixedRuleLearner, OlsLearner
 from .linalg import least_squares
-from .mlp import MlpArchitecture, _forward, _gradients, _init_params, _sse
+from .mlp import _forward, _gradients, _init_params, _sse
 from .rng import RngStream
 from .scenarios import LinearScenario
-from .studies import LearnerSpec, linear_learner_specs, run_studies
+from .studies import TRUE_SHAPE, LearnerSpec, linear_learner_specs, run_studies
 
 UMBRELLA_ALPHA = 0.10
 
@@ -60,16 +60,15 @@ def umbrella_coverages(seed: int, reps: int) -> dict[str, float]:
 def gradient_error(gen: np.random.Generator, instances: int) -> float:
     """Largest relative error of backprop against central differences.
 
-    Each instance is a (3, 2, 1) network and a 5-row sample drawn from
+    Each instance is a ``TRUE_SHAPE`` network and a 5-row sample drawn from
     ``gen``; draws near a ReLU kink, where the derivative is not defined,
     are skipped and do not count.
     """
-    arch = MlpArchitecture((3, 2, 1))
     step = 1e-5
     errors = []
     checked = 0
     while checked < instances:
-        params = _init_params(arch, gen, 1)  # a batch of one network
+        params = _init_params(TRUE_SHAPE, gen, 1)  # a batch of one network
         X = gen.standard_normal((5, 3))
         y = gen.standard_normal(5)
         pre1 = X @ params[0][0].T

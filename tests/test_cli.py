@@ -109,8 +109,9 @@ class TestParseConfig:
         path = tmp_path / "run.cfg"
         path.write_text("cov-shift-scale=1.0\n")
         assert parse_config(["table1", "--seed", "1", "--config", str(path)]).cov_shift_scale == 1.0
-        with pytest.raises(UsageError, match="cov-shift-scale"):
-            parse_config(["table1", "--seed", "1", "--cov-shift-scale", "0"])
+        for bad in ("0", "inf"):
+            with pytest.raises(UsageError, match="cov-shift-scale"):
+                parse_config(["table1", "--seed", "1", "--cov-shift-scale", bad])
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "run.cfg"

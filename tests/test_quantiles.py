@@ -72,6 +72,21 @@ def test_clamping_at_bottom():
         assert interval_from_scores(np.arange(10.0), 0.002) == (0.0, 9.0, True)
 
 
+def test_level_k_over_n_picks_the_kth():
+    # k / n * n often lands a rounding error above k: 0.07 * 100 is 7.000000000000001
+    for n in range(2, 301):
+        for k in range(1, n):
+            assert order_stat_index(n, k / n) == k
+
+
+def test_level_one_over_n_is_not_clamped():
+    # 49 * (1 / 49) is 0.9999999999999999, yet the level is the first order statistic
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert order_stat_index(49, 1 / 49) == 1
+        assert interval_from_scores(np.arange(49.0), 2 / 49) == (0.0, 47.0, False)
+
+
 @given(
     st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60),
     st.floats(0.001, 0.999),

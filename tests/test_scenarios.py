@@ -8,6 +8,7 @@ from predcurves.scenarios import (
     LinearScenario,
     NnScenario,
     ar_covariance,
+    draw_dataset,
     draw_test_laws,
     gen_linear,
     gen_nn,
@@ -53,6 +54,11 @@ class TestLinearScenario:
         residual = y_test - sc.mean_response(X_test)
         assert residual.mean() == pytest.approx(0.0, abs=0.02)
         assert residual.var() == pytest.approx(1.0, abs=0.02)
+
+
+def test_one_draw_under_every_name():
+    assert gen_linear is gen_nn is draw_dataset
+    assert (LinearScenario().family, NnScenario.family) == ("linear", "nn")
 
 
 @pytest.mark.parametrize(

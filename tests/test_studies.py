@@ -192,20 +192,16 @@ class TestTablesShareFitsAcrossLaws:
         expected = self._per_law_rows(NnScenario(n_train=10), specs, 0.2, 2, 3, 4, 10)
         assert rows == expected
 
-    @pytest.mark.parametrize(
-        "scenario, name",
-        [(LinearScenario(), "gen_linear"), (NnScenario(), "gen_nn")],
-        ids=["linear", "nn"],
-    )
-    def test_one_training_draw_per_repetition(self, scenario, name, monkeypatch):
+    @pytest.mark.parametrize("scenario", [LinearScenario(), NnScenario()], ids=["linear", "nn"])
+    def test_one_training_draw_per_repetition(self, scenario, monkeypatch):
         calls = []
-        generate = getattr(studies, name)
+        generate = studies.draw_dataset
 
         def counted(*args, **kwargs):
             calls.append(args)
             return generate(*args, **kwargs)
 
-        monkeypatch.setattr(studies, name, counted)
+        monkeypatch.setattr(studies, "draw_dataset", counted)
         learner = OlsLearner(FeatureMap("intercept", input_dim=scenario.cov_x.shape[0]))
         run_studies(scenario, [LearnerSpec("mu", "ols", learner)], 0.2, 3, 2, 0, (True, False), 10)
         assert len(calls) == 3
