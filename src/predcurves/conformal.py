@@ -1,11 +1,13 @@
 """Model-agnostic jackknife-plus conformal prediction.
 
-For a training set of size n and any learner with a fit/predict pair, the
-engine builds n leave-one-out models and their leave-one-out residuals
-``R_i = y_i - m_i(x_i)`` (model ``m_i`` trained without row i). For a test
+For a training set of size n, model ``m_i`` is trained without row i and
+``R_i = y_i - m_i(x_i)`` is its leave-one-out residual. For a test
 covariate ``x`` the conformal scores are
 
     s_i = m_i(x) + R_i,       i = 1..n.
+
+Learners compute these scores themselves (``loo_scores``); the ensemble
+below trains the n models, for networks and as the brute-force reference.
 
 The empirical step function ``Q(y) = #{i : y >= s_i} / n`` acts as a
 predictive distribution for the unseen response, the predictive curve is
@@ -15,9 +17,6 @@ quantiles of the scores. Coverage of the interval is distribution free:
 at least ``1 - 2 alpha`` under exchangeability of training and test
 pairs, no matter how wrong the learner is, and close to ``1 - alpha`` in
 typical settings.
-
-The LOO ensemble never depends on the test point, so it is built once per
-dataset and reused for every test covariate.
 """
 
 from __future__ import annotations
@@ -91,16 +90,16 @@ def require_loo_rows(dataset: Dataset) -> None:
 def build_loo_ensemble(dataset: Dataset, learner, rng: np.random.Generator) -> LooEnsemble:
     """Fit the n leave-one-out models and collect leave-one-out residuals.
 
-    Learners that expose ``fit_loo(dataset, rng)`` (e.g. batched neural-net
-    trainers) supply all n fits at once; otherwise each fold is refit
-    directly. Randomized learners receive one independent substream per
-    fold, so fold order and parallel schedules cannot change results.
+    Learners that expose ``fit_loo(dataset, rng)`` supply all n fits at
+    once (``MlpLearner.loo_scores`` comes here: its folds are n different
+    networks, trained as one batch). Otherwise each fold is refit with its
+    own substream, so fold order cannot change results; only the tests,
+    ``verify.refit_ensemble`` and the benchmark's refit check take that
+    brute-force branch.
     """
     require_loo_rows(dataset)
     if hasattr(learner, "fit_loo"):
         models = list(learner.fit_loo(dataset, rng))
-        if len(models) != dataset.n:
-            raise RuntimeError("fit_loo returned the wrong number of models")
     else:
         substreams = rng.spawn(dataset.n)
         models = []

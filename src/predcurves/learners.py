@@ -1,11 +1,11 @@
 """Learning models plugged into the conformal engine.
 
-A learner is anything with ``fit(dataset, rng) -> model`` where the model
-has ``predict(X) -> (m,)``. Fitting must be a pure function of
-``(dataset, rng)``. This module provides the least-squares learners over
-fixed feature maps and two deliberately degenerate learners used to
-exercise the distribution-free coverage guarantee; the neural-network
-learners live in :mod:`predcurves.mlp`.
+A learner scores its own leave-one-out folds: ``loo_scores(dataset,
+X_test, rng) -> (n, m)`` is a pure function of its arguments. This module
+provides the least-squares learners over fixed feature maps and the
+fixed-rule learner that exercises the distribution-free coverage
+guarantee, both scored in closed form without drawing from ``rng``; the
+neural-network learners live in :mod:`predcurves.mlp`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form import closed_form_scores
 from .conformal import Dataset
 from .linalg import least_squares
 
@@ -75,13 +76,10 @@ class OlsLearner:
         design = self.feature_map.expand_matrix(dataset.X)
         return OlsModel(least_squares(design, dataset.y).beta, self.feature_map)
 
-
-class _FixedModel:
-    def __init__(self, scale: float):
-        self.scale = scale
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.scale * np.atleast_2d(X)[:, 0]
+    def loo_scores(self, dataset: Dataset, X_test: np.ndarray, rng=None) -> np.ndarray:
+        """Closed-form scores on the expanded design: no refit is performed."""
+        expand = self.feature_map.expand_matrix
+        return closed_form_scores(expand(dataset.X), dataset.y, expand(X_test)).scores
 
 
 @dataclass(frozen=True)
@@ -95,5 +93,7 @@ class FixedRuleLearner:
 
     scale: float
 
-    def fit(self, dataset: Dataset, rng=None) -> _FixedModel:
-        return _FixedModel(self.scale)
+    def loo_scores(self, dataset: Dataset, X_test: np.ndarray, rng=None) -> np.ndarray:
+        """Every fold is the same model, so ``s_ij = c x_j0 + (y_i - c x_i0)``; rng unused."""
+        c = self.scale
+        return c * X_test[:, 0][None, :] + (dataset.y - c * dataset.X[:, 0])[:, None]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import Dataset
+from .conformal import Dataset, build_loo_ensemble
 
 _MIN_STEP = 1e-15
 # bytes of the activation and scratch buffers one chunk of networks trains in
@@ -465,6 +465,10 @@ class MlpLearner:
             self.architecture, self.trainer, X, dataset.y, rng, fold_masks=np.ones((1, dataset.n))
         )
         return MlpModel([W[0] for W in best], self.input_indices)
+
+    def loo_scores(self, dataset: Dataset, X_test: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        # its n folds are different networks: train them as one batch (``fit_loo``), predict with each
+        return build_loo_ensemble(dataset, self, rng).scores(X_test)
 
     def fit_loo(self, dataset: Dataset, rng: np.random.Generator) -> list[MlpModel]:
         """All n leave-one-out fits, trained as one batch of networks."""

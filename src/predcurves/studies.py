@@ -9,8 +9,9 @@ draws on that stream. The coverage tables draw the training rows once
 per repetition and every law's test rows with ``draw_test_laws``, so
 each learner is fitted once per repetition for all laws.
 
-Least-squares learners take the closed-form scoring path; all other
-learners go through the generic leave-one-out engine.
+Every learner scores its own leave-one-out folds (``loo_scores``):
+least squares and the fixed rule in closed form, networks through the
+batched leave-one-out ensemble.
 """
 
 from __future__ import annotations
@@ -21,15 +22,7 @@ from itertools import permutations
 import numpy as np
 from scipy.special import ndtr
 
-from .closed_form import closed_form_scores
-from .conformal import (
-    Dataset,
-    build_loo_ensemble,
-    curve_grid,
-    interval_from_scores,
-    require_loo_rows,
-    two_sided_curve,
-)
+from .conformal import Dataset, curve_grid, interval_from_scores, require_loo_rows, two_sided_curve
 from .learners import FeatureMap, OlsLearner
 from .mlp import (
     OPT_MSE,
@@ -122,10 +115,7 @@ def nn_learner_specs(
 def score_matrix(dataset: Dataset, learner, X_test: np.ndarray, gen) -> np.ndarray:
     """Conformal scores for every test row; shape (n_train, n_test).
 
-    Every path first checks that ``X_test`` is an (m, d) matrix of finite
-    rows. Least-squares learners use the closed-form identity on the
-    expanded design; everything else builds the leave-one-out ensemble
-    once and reuses it across test points.
+    Checks the training and test rows, then asks the learner for its scores.
     """
     require_loo_rows(dataset)
     X_test = np.asarray(X_test, dtype=float)
@@ -133,10 +123,7 @@ def score_matrix(dataset: Dataset, learner, X_test: np.ndarray, gen) -> np.ndarr
         raise ValueError(f"test rows must be an (m, {dataset.dim}) matrix, not {X_test.shape}")
     if not np.all(np.isfinite(X_test)):
         raise ValueError("test rows must be finite")
-    if isinstance(learner, OlsLearner):
-        expand = learner.feature_map.expand_matrix
-        return closed_form_scores(expand(dataset.X), dataset.y, expand(X_test)).scores
-    return build_loo_ensemble(dataset, learner, gen).scores(X_test)
+    return learner.loo_scores(dataset, X_test, gen)
 
 
 def run_studies(

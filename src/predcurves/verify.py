@@ -3,11 +3,12 @@
 Each check re-derives a core guarantee from an independent direction and
 returns the number it measures: closed-form scores against brute-force
 refits (``refit_gap``), coverage against the distribution-free floor
-(``umbrella_coverages``, ``coverage_floor``), backprop against finite
-differences (``gradient_error``), and the conformal curve against the
-analytic Gaussian one (``toy_gap``). The ``verify`` suites and the test
-suite call these same functions, each at its own streams and sizes, so
-they cannot drift apart. All suites are seeded and finish quickly.
+(``umbrella_coverages``, ``coverage_floor``) and the exact rank value
+(``rank_coverage``), backprop against finite differences
+(``gradient_error``), and the conformal curve against the analytic
+Gaussian one (``toy_gap``). The ``verify`` suites and the test suite call
+these same functions, each at its own streams and sizes, so they cannot
+drift apart. All suites are seeded and finish quickly.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .gaussian_toy import GaussianToySample, predictive_curve_toy
 from .learners import FeatureMap, FixedRuleLearner, OlsLearner
 from .linalg import least_squares
 from .mlp import _forward, _gradients, _init_params, _sse
+from .quantiles import order_stat_index
 from .rng import RngStream
 from .scenarios import LinearScenario
 from .studies import TRUE_SHAPE, LearnerSpec, linear_learner_specs, run_studies
@@ -47,6 +49,16 @@ def refit_gap(X: np.ndarray, y: np.ndarray, X_new: np.ndarray) -> float:
 def coverage_floor(alpha: float, reps: int) -> float:
     """The 1 - 2 alpha guarantee less three binomial standard errors over ``reps`` points."""
     return (1.0 - 2.0 * alpha) - 3.0 * np.sqrt(2.0 * alpha * (1.0 - 2.0 * alpha) / reps)
+
+
+def rank_coverage(n: int, alpha: float) -> float:
+    """Exact iid coverage ``(hi - lo) / (n + 1)`` of scores exchangeable with the response.
+
+    The response's rank among the n scores is then uniform on 1..n + 1 (Lei et al.,
+    JASA 2018). Intercept-only least squares scores ``y_i``, and the fixed rule
+    ``y_i`` shifted as the response is, so both qualify.
+    """
+    return (order_stat_index(n, 1.0 - alpha / 2.0) - order_stat_index(n, alpha / 2.0)) / (n + 1)
 
 
 def umbrella_coverages(seed: int, reps: int) -> dict[str, float]:
@@ -94,11 +106,9 @@ def gradient_error(gen: np.random.Generator, instances: int) -> float:
 def toy_gap(y: np.ndarray, points: int) -> float:
     """Sup gap between the conformal and the analytic Gaussian curve of ``y`` on a grid."""
     learner = OlsLearner(FeatureMap("intercept", input_dim=1))
-    dataset = Dataset(np.zeros((y.size, 1)), y)
-    ensemble = build_loo_ensemble(dataset, learner, RngStream(0).generator())
-    toy = GaussianToySample.from_data(y)
-    ys, pv = curve_grid(ensemble.scores(np.zeros((1, 1)))[:, 0], points).T
-    return float(np.max(np.abs(pv - predictive_curve_toy(toy, ys))))
+    scores = learner.loo_scores(Dataset(np.zeros((y.size, 1)), y), np.zeros((1, 1)))[:, 0]
+    ys, pv = curve_grid(scores, points).T
+    return float(np.max(np.abs(pv - predictive_curve_toy(GaussianToySample.from_data(y), ys))))
 
 
 def suite_oracle_equivalence(seed: int) -> tuple[bool, str]:

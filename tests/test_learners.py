@@ -78,10 +78,13 @@ class TestOlsLearner:
 
 class TestFixedRuleLearners:
     def test_zero_learner(self):
-        model = FixedRuleLearner(0.0).fit(None)
-        np.testing.assert_array_equal(model.predict(np.ones((4, 3))), np.zeros(4))
+        dataset = Dataset(np.arange(12.0).reshape(4, 3), np.array([0.5, -1.0, 2.0, 3.5]))
+        scores = FixedRuleLearner(0.0).loo_scores(dataset, np.ones((2, 3)))
+        np.testing.assert_array_equal(scores, np.repeat(dataset.y[:, None], 2, axis=1))
 
     def test_adversarial_learner(self):
-        model = FixedRuleLearner(-1000.0).fit(None)
-        X = np.array([[2.0, 1.0], [-1.0, 0.0]])
-        np.testing.assert_allclose(model.predict(X), [-2000.0, 1000.0])
+        # every fold predicts -1000 x_0: scores are -1000 x_0 + (y_i + 1000 x_i0)
+        dataset = Dataset(np.array([[0.5, 9.0], [-0.25, 9.0], [0.0, 9.0]]), np.array([1.0, 2.0, 3.0]))
+        X_test = np.array([[2.0, 1.0], [-1.0, 0.0]])
+        scores = FixedRuleLearner(-1000.0).loo_scores(dataset, X_test)
+        np.testing.assert_array_equal(scores, [[-1499.0, 1501.0], [-2248.0, 752.0], [-1997.0, 1003.0]])

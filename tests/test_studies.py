@@ -1,10 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from predcurves import canonicalize_mlp, studies
 from predcurves.conformal import Dataset
 from predcurves.learners import FeatureMap, FixedRuleLearner, OlsLearner
-from predcurves.mlp import TrainerConfig
+from predcurves.mlp import MlpArchitecture, MlpLearner, TrainerConfig
 from predcurves.rng import RngStream
 from predcurves.scenarios import LinearScenario, NnScenario
 from predcurves.studies import (
@@ -21,7 +23,7 @@ from predcurves.studies import (
     run_table_nn,
     score_matrix,
 )
-from predcurves.verify import coverage_floor
+from predcurves.verify import coverage_floor, umbrella_coverages
 
 
 class TestLearnerSpecs:
@@ -42,11 +44,18 @@ class TestLearnerSpecs:
             deep_architecture(1)
 
 
+# ids name the scoring route: closed form, n fold fits (a network, whose input
+# checks fire before it draws or trains anything) and the fixed rule's one model
 SCORING_PATHS = pytest.mark.parametrize(
     "learner",
-    [OlsLearner(FeatureMap("intercept", input_dim=2)), FixedRuleLearner(0.0)],
-    ids=["closed-form", "refit"],
+    [
+        OlsLearner(FeatureMap("intercept", input_dim=2)),
+        MlpLearner(MlpArchitecture((2, 1)), TrainerConfig(restarts=1, max_iterations=5)),
+        FixedRuleLearner(0.0),
+    ],
+    ids=["closed-form", "refit", "fixed-rule"],
 )
+CLOSED_FORM = [OlsLearner(FeatureMap("linear", input_dim=2)), FixedRuleLearner(-1000.0)]
 
 
 class TestScoreMatrix:
@@ -88,6 +97,23 @@ class TestScoreMatrix:
         dataset = Dataset(np.arange(8.0).reshape(4, 2) ** 2, np.arange(4.0))
         with pytest.raises(ValueError, match=message):
             score_matrix(dataset, learner, X_test, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("learner", CLOSED_FORM, ids=["ols", "fixed-rule"])
+    def test_closed_form_learners_draw_nothing(self, learner):
+        gen = RngStream(401, 0).generator()
+        dataset = Dataset(gen.standard_normal((10, 2)), gen.standard_normal(10))
+        X_test = gen.standard_normal((3, 2))
+        before = pickle.dumps(gen)  # bit state and spawn count
+        assert score_matrix(dataset, learner, X_test, gen).shape == (10, 3)
+        assert pickle.dumps(gen) == before
+
+    def test_no_production_path_refits(self, monkeypatch):
+        def refuse(self, i):
+            raise AssertionError("a production path refit a leave-one-out fold")
+
+        monkeypatch.setattr(Dataset, "drop_row", refuse)
+        assert set(umbrella_coverages(3, 5)) == {"mu0", "mu3", "adversarial"}
+        assert len(run_table_linear(seed=3, n_train=20, reps=3)) == 8
 
 
 class TestCoverageStudy:

@@ -48,3 +48,15 @@ def test_run_verify_runs_the_five_suites_in_order():
         "hat-trace",
         "toy-consistency",
     ]
+
+
+def test_rank_oracle_holds_the_exchangeable_learners():
+    # intercept-only least squares and the fixed rule score the responses up to a
+    # shift the test response shares, so their iid coverage is exactly rank_coverage
+    exact = verify.rank_coverage(50, verify.UMBRELLA_ALPHA)
+    assert exact == 45 / 51
+    reps = 2000
+    se = np.sqrt(exact * (1.0 - exact) / reps)
+    coverages = verify.umbrella_coverages(8, reps)
+    for label in ("mu3", "adversarial"):
+        assert abs(coverages[label] - exact) <= 3.0 * se, (label, coverages[label])
