@@ -18,8 +18,8 @@ comments, keys named and typed as the command's flags), which overrides
 the ``FLAGS`` defaults; after the checks, ``SIZES`` fills the sizes still
 unset. Every data-producing command requires ``--seed``; outputs are then
 byte deterministic. Exit codes: 0 success, 1 verification or write
-failure, 2 usage error or an input the method cannot handle (any
-``ValueError``).
+failure, 2 usage error, an input the method cannot handle (any
+``ValueError``) or a size numpy cannot allocate (``MemoryError``).
 """
 
 from __future__ import annotations
@@ -147,8 +147,9 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
         raise UsageError(f"{cfg.command} requires --seed")
     if cfg.seed is not None and not 0 <= cfg.seed < 2**64:
         raise UsageError("--seed must be an unsigned 64-bit integer")
-    if not 0.0 < cfg.alpha < 1.0:
-        raise UsageError(f"--alpha must be in (0, 1), got {cfg.alpha}")
+    # at alpha <= 2**-53 the upper level 1 - alpha / 2 rounds to 1
+    if not (0.0 < cfg.alpha < 1.0 and 1.0 - cfg.alpha / 2.0 < 1.0):
+        raise UsageError(f"--alpha must be in (2**-53, 1), got {cfg.alpha}")
     if not 0.0 < cfg.cov_shift_scale < np.inf:
         raise UsageError(f"--cov-shift-scale must be positive and finite, got {cfg.cov_shift_scale}")
     for flag in ("n-train", "reps", "depth", "restarts", "n"):
@@ -264,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.out is None:
             sys.stdout.write(text)
         return 0
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

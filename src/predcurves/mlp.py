@@ -40,14 +40,16 @@ import numpy as np
 from .conformal import Dataset, build_loo_ensemble
 
 _MIN_STEP = 1e-15
-# bytes of the activation and scratch buffers one chunk of networks trains in
+# bytes of the two activation sets one chunk of networks trains in
 _CHUNK_BYTES = 16 * 2**20
-# buffer bytes x iterations below which a call trains in one process: a bare
-# fork and wait take ~2.5 ms at ~120 MB RSS, plus the child's page faults and
-# the slowdown of two busy cores. Timed at n = 100 on 2 cores (depth-5 LOO
-# batches, ~145 MB RSS, medians of 3 runs), calls of half this work took
-# 23-36 ms in one process and 30-40 ms in two, of this work 29-43 and 36-45
-# ms, and of twice this work 43-66 and 43-52 ms
+# bytes of the two activation sets x iterations below which a call trains in
+# one process: a bare fork and wait take ~2.5 ms at ~120 MB RSS, plus the
+# child's page faults and the slowdown of two busy cores. Timed at n = 100 on
+# 2 cores (depth-5 LOO batches, ~145 MB RSS, medians of 3 runs) when the bytes
+# also counted two backward-pass arrays, so the work of those calls now reads
+# 0.8x what it did then: calls of half this work took 23-36 ms in one process
+# and 30-40 ms in two, of this work 29-43 and 36-45 ms, and of twice this work
+# 43-66 and 43-52 ms
 _MIN_FORK_WORK = 2**26
 _MOMENTUM = 0.9
 _GRADIENT_TOLERANCE = 1e-6
@@ -111,12 +113,14 @@ def _forward(params: list, X: np.ndarray, bufs: list | None = None) -> tuple[lis
 
     Layer weights of shape (B, out, in) run a batch of B networks; 2-D
     weights run one network and give outputs of shape (n,). ``bufs``, if
-    given, holds one array per layer of exactly the activation's shape,
-    and the activations are written there instead of into new arrays.
+    given, is an activation set of ``train_batched`` with room for at
+    least B networks; the activations are written into its first B rows
+    instead of into new arrays.
     """
     h = X
     acts = []
-    for W, buf in zip(params, bufs or [None] * len(params)):
+    outs = [None] * len(params) if bufs is None else [A[: len(params[0])] for A in bufs]
+    for W, buf in zip(params, outs):
         # a contiguous right operand is faster in BLAS than a transposed view
         h = np.matmul(h, np.ascontiguousarray(W.swapaxes(-1, -2)), out=buf)
         np.maximum(h, 0.0, out=h)
@@ -124,47 +128,39 @@ def _forward(params: list, X: np.ndarray, bufs: list | None = None) -> tuple[lis
     return acts, h[..., 0]
 
 
-def _sse(out: np.ndarray, y: np.ndarray, mask: np.ndarray | float) -> np.ndarray:
-    r = (out - y) * mask
+def _sse(r: np.ndarray) -> np.ndarray:
+    """Total squared error of each network from its (B, n) masked residual ``(out - y) * mask``."""
     return np.einsum("bn,bn->b", r, r)
 
 
-def _gradients(
-    params: list,
-    X: np.ndarray,
-    y: np.ndarray,
-    acts: list,
-    out: np.ndarray,
-    mask: np.ndarray | float,
-    scratch: list | None = None,
-) -> list:
+def _gradients(params: list, X: np.ndarray, acts: list, r: np.ndarray, bufs: list | None = None) -> list:
     """Backpropagated gradient of the total squared error.
 
-    ``acts`` are the post-ReLU activations of ``_forward``; a unit is live
+    ``acts`` are the post-ReLU activations of ``_forward`` and ``r`` the
+    masked residual ``(out - y) * mask`` of its outputs; a unit is live
     where its activation is positive, which is exactly where its
     preactivation is, so the ReLU subgradient at zero is taken as zero.
-    ``scratch``, if given, is two flat arrays, each at least as large as
-    any activation; the backpropagated errors alternate between them
-    instead of going into new arrays.
+    ``bufs``, if given, is an activation set other than the one ``acts``
+    lie in, with room for at least B networks; the error backpropagated
+    to layer l - 1 goes into the first B rows of ``bufs[l - 1]`` instead
+    of into a new array.
     """
-    r = (out - y) * mask
     delta = (2.0 * r)[..., None] * (acts[-1] > 0)
+    deltas = [None] * len(params) if bufs is None else [A[: len(r)] for A in bufs]
     grads: list = [None] * len(params)
     for layer in range(len(params) - 1, -1, -1):
         a_prev = X if layer == 0 else acts[layer - 1]
         # a_prev^T delta, transposed back: faster than delta^T a_prev on the input layer
         grads[layer] = (np.swapaxes(a_prev, -1, -2) @ delta).swapaxes(-1, -2)
         if layer > 0:
-            buf = None if scratch is None else scratch[layer % 2][: a_prev.size].reshape(a_prev.shape)
-            delta = np.matmul(delta, params[layer], out=buf)
+            delta = np.matmul(delta, params[layer], out=deltas[layer - 1])
             np.multiply(delta, a_prev > 0, out=delta)
     return grads
 
 
 def _network_bytes(arch: MlpArchitecture, n: int) -> int:
-    """Bytes one network of ``arch`` on n rows takes in the chunk buffers of ``train_batched``."""
-    widths = arch.widths[1:]
-    return 8 * n * (2 * sum(widths) + 2 * max(widths))
+    """Bytes one network of ``arch`` on n rows takes in the two activation sets of ``train_batched``."""
+    return 16 * n * sum(arch.widths[1:])
 
 
 def train_batched(
@@ -209,14 +205,14 @@ def train_batched(
 
     Each process allocates its buffers once, sized to one chunk of its
     slice: two sets of activations, which swap roles between current and
-    candidate every iteration, and two scratch arrays for the backward
-    pass. Each chunk's final weights overwrite its initial ones, and each
+    candidate every iteration; the backward pass writes into the
+    candidate set before the candidate's forward pass does. Each chunk's
+    final weights and losses overwrite its rows of the batch's, and each
     fold's best restart then replaces the batch one layer at a time, which
     frees that layer's map; no returned array is a view into one. Peak
     memory is per process: in this one, every network's weights, one
-    chunk's buffers and scratch, and one layer of the selected networks;
-    in a child, the pages it shares with this process and its own chunk
-    buffers.
+    chunk's buffers, and one layer of the selected networks; in a child,
+    the pages it shares with this process and its own chunk buffers.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -250,12 +246,11 @@ def train_batched(
     def train_range(lo: int, hi: int) -> None:
         chunk = min(hi - lo, max(1, _CHUNK_BYTES // _network_bytes(arch, n)))
         act_sets = [[np.empty((chunk, n, w)) for w in widths] for _ in range(2)]
-        scratch = [np.empty(chunk * n * max(widths)) for _ in range(2)]
         for start in range(lo, hi, chunk):
             stop = min(start + chunk, hi)
-            final_loss[start:stop] = _train_chunk(
+            _train_chunk(
                 [W[start:stop] for W in params], X, y, fold_masks[np.arange(start, stop) // n_restarts],
-                config, act_sets, scratch,
+                config, act_sets, final_loss[start:stop],
             )
 
     _run_slices(train_range, [batch * s // slices for s in range(slices + 1)])
@@ -332,41 +327,42 @@ def _train_chunk(
     mask: np.ndarray,
     config: TrainerConfig,
     act_sets: list,
-    scratch: list,
-) -> np.ndarray:
-    """Train the networks ``params`` in place and return their final losses.
+    final_loss: np.ndarray,
+) -> None:
+    """Train the networks ``params`` in place and write their (B,) final losses into ``final_loss``.
 
-    ``mask`` (B, n) holds each network's fold mask; ``act_sets`` and
-    ``scratch`` are ``train_batched``'s buffers, with room for at least B
-    networks.
+    ``mask`` (B, n) holds each network's fold mask; ``act_sets`` are
+    ``train_batched``'s two activation sets, each with room for at least
+    B networks.
 
     Networks stop early when the gradient infinity-norm drops below the
     tolerance or the step size underflows; converged networks are retired
     from the working batch so long runs do not pay for finished restarts.
     A retired network's weights are written back to its row of ``params``.
 
-    Each iteration runs one forward pass, on the candidate step, into the
-    activation set that is not current: its activations, outputs and loss
-    become the next iteration's for the networks that accept the step,
-    while rejected networks get their current rows copied over, along with
-    their parameters. The two sets then swap roles. Retiring networks does
-    not compact the current activations; ``rows`` maps each working
-    network to its row there, so only the rows of rejected networks are
-    ever copied.
+    Each iteration backpropagates into the activation set that is not
+    current, whose rows are dead until the candidate step's forward pass
+    overwrites them. That pass's activations, masked residual
+    ``(out - y) * mask`` and loss become the next iteration's for the
+    networks that accept the step, while rejected networks get their
+    current rows copied over, along with their parameters. The two sets
+    then swap roles. Retiring networks does not compact the current
+    activations; ``rows`` maps each working network to its row there, so
+    only the rows of rejected networks are ever copied.
     """
     final_params = params
     batch = params[0].shape[0]
-    final_loss = np.empty(batch)
     alive = np.arange(batch)
     velocity = [np.zeros_like(W) for W in params]
     step = np.full(batch, config.initial_step)
     current, spare = act_sets
-    acts, out = _forward(params, X, [A[:batch] for A in current])
-    loss = _sse(out, y, mask)
+    acts, out = _forward(params, X, current)
+    r = (out - y) * mask
+    loss = _sse(r)
     rows = np.arange(batch)
 
     def retire(done: np.ndarray) -> None:
-        nonlocal alive, params, velocity, step, mask, rows, out, loss
+        nonlocal alive, params, velocity, step, mask, rows, r, loss
         ids = alive[done]
         for layer in range(len(params)):
             final_params[layer][ids] = params[layer][done]
@@ -376,16 +372,14 @@ def _train_chunk(
         params = [W[keep] for W in params]
         velocity = [V[keep] for V in velocity]
         rows = rows[keep]
-        out = out[keep]
+        r = r[keep]
         loss = loss[keep]
         step = step[keep]
         mask = mask[keep]
 
     for _ in range(config.max_iterations):
-        grads = _gradients(params, X, y, acts, out, mask, scratch)
-        gmax = np.zeros(alive.size)
-        for g in grads:
-            gmax = np.maximum(gmax, np.abs(g).max(axis=(1, 2)))
+        grads = _gradients(params, X, acts, r, spare)
+        gmax = np.max([np.abs(g).max(axis=(1, 2)) for g in grads], axis=0)
         done = (gmax < _GRADIENT_TOLERANCE) | (step < _MIN_STEP)
         if done.any():
             retire(done)
@@ -399,8 +393,9 @@ def _train_chunk(
             V *= _MOMENTUM
             V -= scale * g
         cand = [W + V for W, V in zip(params, velocity)]
-        cand_acts, cand_out = _forward(cand, X, [A[: alive.size] for A in spare])
-        cand_loss = _sse(cand_out, y, mask)
+        cand_acts, cand_out = _forward(cand, X, spare)
+        cand_r = (cand_out - y) * mask
+        cand_loss = _sse(cand_r)
         reject = ~(cand_loss <= loss)
         if reject.any():
             for W, C, V in zip(params, cand, velocity):
@@ -408,16 +403,15 @@ def _train_chunk(
                 V[reject] = 0.0
             for H, C in zip(acts, cand_acts):
                 C[reject] = H[rows[reject]]
-            cand_out[reject] = out[reject]
+            cand_r[reject] = r[reject]
             cand_loss[reject] = loss[reject]
             step[reject] *= 0.5
-        params, acts, out, loss = cand, cand_acts, cand_out, cand_loss
+        params, acts, r, loss = cand, cand_acts, cand_r, cand_loss
         current, spare = spare, current
         rows = np.arange(alive.size)
 
     if alive.size:
         retire(np.ones(alive.size, dtype=bool))
-    return final_loss
 
 
 class MlpModel:

@@ -22,9 +22,9 @@ nn
 
 Every row comes from ``draw_pairs``: covariates from the training law
 or the scenario's ``shifted_covariates``, then responses.
-``draw_dataset`` is the one train-then-test draw for every scenario
-(``gen_linear`` and ``gen_nn`` are its two other names). Training pairs
-come first on the stream, so no test law or size moves them, and
+``draw_dataset`` is the one train-then-test draw for every scenario;
+``gen_linear`` and ``gen_nn`` name it only for ``perfbench``. Training
+pairs come first on the stream, so no test law or size moves them, and
 ``draw_test_laws`` starts each law's test pairs where the training rows end.
 """
 
@@ -181,5 +181,5 @@ def draw_dataset(
     return Dataset(X, y), draw_pairs(scenario, iid, rng, n_test)
 
 
-# per-family names of the one draw; perfbench's tracer patches both
+# names of the one draw kept only for perfbench, whose workloads call and tracer patches both
 gen_linear = gen_nn = draw_dataset

@@ -88,15 +88,16 @@ def gradient_error(gen: np.random.Generator, instances: int) -> float:
         if min(np.min(np.abs(pre1)), np.min(np.abs(pre2))) < 1e-3:
             continue
         checked += 1
-        grads = _gradients(params, X, y, *_forward(params, X), 1.0)
+        acts, out = _forward(params, X)
+        grads = _gradients(params, X, acts, out - y)
         for layer, grad in enumerate(grads):
             for idx in np.ndindex(grad.shape):
                 plus = [W.copy() for W in params]
                 minus = [W.copy() for W in params]
                 plus[layer][idx] += step
                 minus[layer][idx] -= step
-                loss_plus = _sse(_forward(plus, X)[1], y, 1.0)[0]
-                loss_minus = _sse(_forward(minus, X)[1], y, 1.0)[0]
+                loss_plus = _sse(_forward(plus, X)[1] - y)[0]
+                loss_minus = _sse(_forward(minus, X)[1] - y)[0]
                 fd = (loss_plus - loss_minus) / (2 * step)
                 denom = max(abs(fd), abs(grad[idx]), 1e-8)
                 errors.append(abs(fd - grad[idx]) / denom)

@@ -16,7 +16,7 @@ from predcurves.cli import main
 from predcurves.gaussian_toy import GaussianToySample, confidence_cdf, confidence_curve
 from predcurves.gaussian_toy import predictive_curve_toy
 from predcurves.rng import RngStream
-from predcurves.scenarios import LinearScenario, gen_linear
+from predcurves.scenarios import LinearScenario, draw_dataset
 from predcurves.studies import run_param_mse_study, run_table_linear, run_table_nn
 from predcurves.verify import UMBRELLA_ALPHA, coverage_floor, gradient_error, refit_gap
 from predcurves.verify import toy_gap, umbrella_coverages
@@ -178,7 +178,7 @@ def test_criterion_5_homeostasis_cancellation():
         gaps, biases = [], []
         for rep in range(100):
             gen = RngStream(1006, rep).generator()
-            dataset, _ = gen_linear(scenario, True, gen, n_train=n, n_test=0)
+            dataset, _ = draw_dataset(scenario, True, gen, n_train=n, n_test=0)
             report = homeostasis_report(
                 dataset.X[:, :1], dataset.X[:, 1:], np.array(scenario.beta[1:]),
                 dataset.X.mean(axis=0),

@@ -88,6 +88,14 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="alpha"):
             parse_config(["table1", "--seed", "1", "--alpha", "1.5"])
 
+    def test_alpha_below_float_resolution_rejected(self):
+        # at alpha <= 2**-53 the upper level 1 - alpha / 2 rounds to 1
+        with pytest.raises(UsageError, match=r"--alpha .* got 1e-300"):
+            parse_config(["table1", "--seed", "1", "--alpha", "1e-300"])
+        with pytest.raises(UsageError, match="--alpha"):
+            parse_config(["table1", "--seed", "1", "--alpha", str(2.0**-53)])
+        assert parse_config(["table1", "--seed", "1", "--alpha", str(2.0**-52)]).alpha == 2.0**-52
+
     def test_unknown_flag_rejected(self):
         with pytest.raises(UsageError):
             parse_config(["table1", "--seed", "1", "--frobnicate", "2"])
@@ -164,6 +172,26 @@ class TestMainExitCodes:
 
     def test_bad_alpha_exits_2(self, capsys):
         assert main(["table1", "--seed", "1", "--alpha", "2"]) == 2
+
+    @pytest.mark.parametrize("command", ["table1", "table3"])
+    def test_tiny_alpha_exits_2_before_the_study(self, monkeypatch, capsys, command):
+        calls = []
+        for name in ("run_table_linear", "run_table_nn"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args))
+        assert main([command, "--seed", "1", "--n-train", "4", "--reps", "1", "--alpha", "1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1e-300" in err
+        assert calls == []
+
+    def test_memory_error_exits_2(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "run_table_linear", refuse)
+        assert main(["table1", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 745. GiB for an array\n"
+        assert captured.out == ""
 
     def test_unwritable_path_exits_1(self, capsys):
         code = main(

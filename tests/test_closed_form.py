@@ -7,7 +7,7 @@ from predcurves.conformal import Dataset, build_loo_ensemble, interval_from_scor
 from predcurves.learners import FeatureMap, OlsLearner
 from predcurves.linalg import least_squares
 from predcurves.rng import RngStream
-from predcurves.scenarios import LinearScenario, gen_linear
+from predcurves.scenarios import LinearScenario, draw_dataset
 from predcurves.verify import refit_ensemble
 
 
@@ -133,7 +133,7 @@ class TestHomeostasis:
         gaps, biases = [], []
         for rep in range(50):
             gen = RngStream(103, rep).generator()
-            dataset, _ = gen_linear(scenario, True, gen, n_train=300, n_test=0)
+            dataset, _ = draw_dataset(scenario, True, gen, n_train=300, n_test=0)
             Z, W = dataset.X[:, :1], dataset.X[:, 1:]
             x_bar = dataset.X.mean(axis=0)
             report = homeostasis_report(Z, W, np.array(scenario.beta[1:]), x_bar)
@@ -160,7 +160,7 @@ class TestUnbiasednessHooks:
         noise_means = np.empty(reps)
         for rep in range(reps):
             gen = RngStream(107, rep).generator()
-            dataset, (X_test, _) = gen_linear(scenario, True, gen, n_train=60, n_test=1)
+            dataset, (X_test, _) = draw_dataset(scenario, True, gen, n_train=60, n_test=1)
             X = np.hstack([np.ones((60, 1)), dataset.X])
             x_new = np.array([1.0, *X_test[0]])
             result = closed_form_scores(X, dataset.y, x_new[None, :])

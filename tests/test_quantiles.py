@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -62,6 +63,15 @@ def test_alpha_domain(alpha):
         order_stat_index(2, alpha)
     with pytest.raises(ValueError, match="alpha"):
         interval_from_scores([1.0, 2.0], alpha)
+
+
+def test_alpha_below_float_resolution_rejected():
+    # at alpha <= 2**-53 the upper level 1 - alpha / 2 rounds to 1; the message names alpha
+    for alpha in (1e-300, 2.0**-53):
+        with pytest.raises(ValueError, match=re.escape(f"got {alpha}")):
+            interval_from_scores([1.0, 2.0], alpha)
+    with pytest.warns(RuntimeWarning, match="clamped"):
+        assert interval_from_scores([1.0, 2.0], 2.0**-52) == (1.0, 2.0, True)
 
 
 def test_clamping_at_bottom():

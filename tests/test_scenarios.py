@@ -28,7 +28,7 @@ class TestLinearScenario:
     def test_response_moments(self):
         sc = LinearScenario()
         gen = RngStream(300, 0).generator()
-        dataset, _ = gen_linear(sc, True, gen, n_train=100_000, n_test=0)
+        dataset, _ = draw_dataset(sc, True, gen, n_train=100_000, n_test=0)
         # E y = intercept since covariates are centered
         assert dataset.y.mean() == pytest.approx(-1.0, abs=0.03)
         # var(2z + 2w) + noise = 4*.5 + 4*.5 + 2*4*.25 + 1
@@ -37,20 +37,20 @@ class TestLinearScenario:
     def test_covariate_moments(self):
         sc = LinearScenario()
         gen = RngStream(300, 1).generator()
-        dataset, _ = gen_linear(sc, True, gen, n_train=100_000, n_test=0)
+        dataset, _ = draw_dataset(sc, True, gen, n_train=100_000, n_test=0)
         assert np.max(np.abs(dataset.X.mean(axis=0))) < 0.01
         assert np.max(np.abs(np.cov(dataset.X.T) - sc.cov_x)) < 0.01
 
     def test_shifted_test_mean(self):
         sc = LinearScenario()
         gen = RngStream(300, 2).generator()
-        _, (X_test, _) = gen_linear(sc, False, gen, n_train=10, n_test=100_000)
+        _, (X_test, _) = draw_dataset(sc, False, gen, n_train=10, n_test=100_000)
         np.testing.assert_allclose(X_test.mean(axis=0), [2.0, 2.0], atol=0.03)
 
     def test_test_responses_follow_model_given_x(self):
         sc = LinearScenario()
         gen = RngStream(300, 3).generator()
-        _, (X_test, y_test) = gen_linear(sc, False, gen, n_train=10, n_test=100_000)
+        _, (X_test, y_test) = draw_dataset(sc, False, gen, n_train=10, n_test=100_000)
         residual = y_test - sc.mean_response(X_test)
         assert residual.mean() == pytest.approx(0.0, abs=0.02)
         assert residual.var() == pytest.approx(1.0, abs=0.02)
@@ -61,17 +61,13 @@ def test_one_draw_under_every_name():
     assert (LinearScenario().family, NnScenario.family) == ("linear", "nn")
 
 
-@pytest.mark.parametrize(
-    "scenario, generate",
-    [(LinearScenario(), gen_linear), (NnScenario(), gen_nn)],
-    ids=["linear", "nn"],
-)
-def test_training_identical_across_test_laws(scenario, generate):
+@pytest.mark.parametrize("scenario", [LinearScenario(), NnScenario()], ids=["linear", "nn"])
+def test_training_identical_across_test_laws(scenario):
     # training rows come first in the draw order: no test law or size moves them
     gens = [RngStream(300, 4).generator() for _ in range(4)]
     laws = ((True, 3), (False, 3), (True, 0), (False, 0))
     draws = [
-        generate(scenario, iid, gen, n_train=50, n_test=n_test)
+        draw_dataset(scenario, iid, gen, n_train=50, n_test=n_test)
         for gen, (iid, n_test) in zip(gens, laws)
     ]
     for dataset, _ in draws[1:]:
@@ -81,7 +77,7 @@ def test_training_identical_across_test_laws(scenario, generate):
     assert repr(gens[2].bit_generator.state) == repr(gens[3].bit_generator.state)
     # after one training draw, every law's test pairs are those of a fresh call at that law
     gen = RngStream(300, 4).generator()
-    generate(scenario, True, gen, n_train=50, n_test=0)
+    draw_dataset(scenario, True, gen, n_train=50, n_test=0)
     for (X, y), (_, (X_ref, y_ref)) in zip(draw_test_laws(scenario, (True, False), gen, 3), draws):
         np.testing.assert_array_equal(X, X_ref)
         np.testing.assert_array_equal(y, y_ref)
@@ -122,14 +118,14 @@ class TestNnScenario:
     def test_response_zero_fraction(self):
         sc = NnScenario()
         gen = RngStream(301, 3).generator()
-        dataset, _ = gen_nn(sc, True, gen, n_train=100_000, n_test=0)
+        dataset, _ = draw_dataset(sc, True, gen, n_train=100_000, n_test=0)
         zero_frac = np.mean(sc.mean_response(dataset.X) == 0.0)
         assert zero_frac > 0.4
 
     def test_shifted_covariates_noncentral_t(self):
         sc = NnScenario()
         gen = RngStream(301, 4).generator()
-        _, (X_test, _) = gen_nn(sc, False, gen, n_train=10, n_test=100_000)
+        _, (X_test, _) = draw_dataset(sc, False, gen, n_train=10, n_test=100_000)
         mean, var = stats.nct.stats(3, 1, moments="mv")
         se_mean = np.sqrt(var / X_test.shape[0])
         for k in range(3):

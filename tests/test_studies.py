@@ -62,9 +62,9 @@ class TestScoreMatrix:
     def test_fast_path_matches_engine(self):
         scenario = LinearScenario()
         gen = RngStream(400, 0).generator()
-        from predcurves.scenarios import gen_linear
+        from predcurves.scenarios import draw_dataset
 
-        dataset, (X_test, _) = gen_linear(scenario, True, gen, n_train=30, n_test=4)
+        dataset, (X_test, _) = draw_dataset(scenario, True, gen, n_train=30, n_test=4)
         learner = OlsLearner(FeatureMap("linear", input_dim=2))
         fast = score_matrix(dataset, learner, X_test, gen)
 
@@ -302,10 +302,10 @@ class TestExportCurves:
         ys = [y for y, _ in oracle]
         assert ys == sorted(ys)
         # oracle peaks at the true mean response at the test covariate
-        from predcurves.scenarios import gen_linear
+        from predcurves.scenarios import draw_dataset
 
         gen = RngStream(8, 0).generator()
-        dataset, _ = gen_linear(scenario, True, gen, n_train=80, n_test=1)
+        dataset, _ = draw_dataset(scenario, True, gen, n_train=80, n_test=1)
         x_bar = dataset.X.mean(axis=0)
         assert peak_y == pytest.approx(float(scenario.mean_response(x_bar[None])[0]), abs=0.1)
 
