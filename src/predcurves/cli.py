@@ -183,9 +183,13 @@ def _parse_x_new(text: str):
 
 
 def _check_out(path: str) -> None:
-    """Refuse an ``--out`` that is a directory or lies in no writable one, before any study runs."""
+    """Refuse an ``--out`` that is not a file name in a writable directory, before any study runs."""
     directory = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path) or not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+    if (
+        not os.path.basename(path)
+        or os.path.isdir(path)
+        or not (os.path.isdir(directory) and os.access(directory, os.W_OK))
+    ):
         raise OSError(f"cannot write {path}: not a file name in a writable directory")
 
 

@@ -51,6 +51,7 @@ _CHUNK_BYTES = 16 * 2**20
 # and 30-40 ms in two, of this work 29-43 and 36-45 ms, and of twice this work
 # 43-66 and 43-52 ms
 _MIN_FORK_WORK = 2**26
+_INITIAL_STEP = 1e-2
 _MOMENTUM = 0.9
 _GRADIENT_TOLERANCE = 1e-6
 
@@ -78,15 +79,12 @@ class MlpArchitecture:
 class TrainerConfig:
     restarts: int = 20
     max_iterations: int = 5000
-    initial_step: float = 1e-2
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be at least 0, got {self.max_iterations}")
-        if not (np.isfinite(self.initial_step) and self.initial_step > 0):
-            raise ValueError(f"initial_step must be finite and positive, got {self.initial_step}")
 
 
 OPT_MSE = TrainerConfig()
@@ -354,7 +352,7 @@ def _train_chunk(
     batch = params[0].shape[0]
     alive = np.arange(batch)
     velocity = [np.zeros_like(W) for W in params]
-    step = np.full(batch, config.initial_step)
+    step = np.full(batch, _INITIAL_STEP)
     current, spare = act_sets
     acts, out = _forward(params, X, current)
     r = (out - y) * mask
@@ -443,22 +441,8 @@ class MlpLearner:
     trainer: TrainerConfig
     input_indices: tuple[int, ...] | None = None
 
-    def _inputs(self, dataset: Dataset) -> np.ndarray:
-        X = dataset.X
-        if self.input_indices is not None:
-            X = X[:, list(self.input_indices)]
-        if X.shape[1] != self.architecture.input_dim:
-            raise ValueError(
-                f"architecture expects {self.architecture.input_dim} inputs, got {X.shape[1]}"
-            )
-        return X
-
     def fit(self, dataset: Dataset, rng: np.random.Generator) -> MlpModel:
-        X = self._inputs(dataset)
-        best, _, _ = train_batched(
-            self.architecture, self.trainer, X, dataset.y, rng, fold_masks=np.ones((1, dataset.n))
-        )
-        return MlpModel([W[0] for W in best], self.input_indices)
+        return self._fit(dataset, rng, np.ones((1, dataset.n)))[0]
 
     def loo_scores(self, dataset: Dataset, X_test: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         # its n folds are different networks: train them as one batch (``fit_loo``), predict with each
@@ -466,11 +450,16 @@ class MlpLearner:
 
     def fit_loo(self, dataset: Dataset, rng: np.random.Generator) -> list[MlpModel]:
         """All n leave-one-out fits, trained as one batch of networks."""
-        X = self._inputs(dataset)
-        masks = 1.0 - np.eye(dataset.n)
-        best, _, _ = train_batched(
-            self.architecture, self.trainer, X, dataset.y, rng, fold_masks=masks
-        )
-        return [
-            MlpModel([W[fold] for W in best], self.input_indices) for fold in range(dataset.n)
-        ]
+        return self._fit(dataset, rng, 1.0 - np.eye(dataset.n))
+
+    def _fit(self, dataset: Dataset, rng: np.random.Generator, fold_masks: np.ndarray) -> list[MlpModel]:
+        """One fitted network per row of ``fold_masks``, all trained as one batch."""
+        X = dataset.X
+        if self.input_indices is not None:
+            X = X[:, list(self.input_indices)]
+        if X.shape[1] != self.architecture.input_dim:
+            raise ValueError(
+                f"architecture expects {self.architecture.input_dim} inputs, got {X.shape[1]}"
+            )
+        best, _, _ = train_batched(self.architecture, self.trainer, X, dataset.y, rng, fold_masks)
+        return [MlpModel([W[fold] for W in best], self.input_indices) for fold in range(len(fold_masks))]

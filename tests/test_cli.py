@@ -208,7 +208,7 @@ class TestMainExitCodes:
         for name in ("run_table_linear", "run_param_mse_study", "run_table_nn", "export_curves"):
             monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args))
         out = tmp_path / "missing" / "t.csv"
-        for path in (out, tmp_path):
+        for path in (out, tmp_path, "", f"{tmp_path / 'newdir'}/"):
             assert main([*command.split(), "--seed", "1", "--out", str(path)]) == 1
             assert capsys.readouterr().err.startswith("error: ")
         assert calls == []

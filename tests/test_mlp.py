@@ -231,7 +231,7 @@ class TestTrainer:
             )
 
     @pytest.mark.parametrize("arch", [(3, 2, 1), (3, 6, 6, 1)], ids=["shallow", "depth-3"])
-    def test_returned_losses_match_a_fresh_forward(self, arch):
+    def test_returned_losses_match_a_fresh_forward(self, arch, monkeypatch):
         # losses are carried from the candidate step's forward pass and merged
         # back on rejection; whatever the budget a run stops at, they must
         # equal the loss of the params actually returned. With one restart per
@@ -239,11 +239,10 @@ class TestTrainer:
         # restart must be the one whose params come back
         ds, _ = draw_dataset(NnScenario(), True, RngStream(14, 0).generator(), n_train=12, n_test=0)
         masks = 1.0 - np.eye(12)
+        monkeypatch.setattr(mlp, "_INITIAL_STEP", 0.3)
         for restarts in (1, 3):
             for iterations in range(1, 21):
-                config = TrainerConfig(
-                    restarts=restarts, max_iterations=iterations, initial_step=0.3
-                )
+                config = TrainerConfig(restarts=restarts, max_iterations=iterations)
                 best, losses, restart_losses = train_batched(
                     MlpArchitecture(arch), config, ds.X, ds.y, RngStream(14, 1).generator(),
                     fold_masks=masks,
@@ -252,17 +251,18 @@ class TestTrainer:
                 np.testing.assert_array_equal(losses, _sse((out - ds.y) * masks))
                 np.testing.assert_array_equal(losses, restart_losses.min(axis=1))
 
-    def test_matches_two_forward_reference_loop(self):
+    def test_matches_two_forward_reference_loop(self, monkeypatch):
         # the trainer reuses the candidate's forward pass and updates in place;
         # a plain loop that recomputes the forward pass every iteration and
         # keeps finished networks frozen in the batch must give the same bits
         arch = MlpArchitecture((3, 6, 6, 1))
-        config = TrainerConfig(restarts=2, max_iterations=60, initial_step=0.1)
+        config = TrainerConfig(restarts=2, max_iterations=60)
+        monkeypatch.setattr(mlp, "_INITIAL_STEP", 0.1)
         ds, _ = draw_dataset(NnScenario(), True, RngStream(15, 0).generator(), n_train=10, n_test=0)
         masks = np.repeat(1.0 - np.eye(10), 2, axis=0)
         params = _init_params(arch, RngStream(15, 1).generator(), 20)
         velocity = [np.zeros_like(W) for W in params]
-        step = np.full(20, config.initial_step)
+        step = np.full(20, mlp._INITIAL_STEP)
         live = np.ones(20, dtype=bool)
         for _ in range(config.max_iterations):
             acts, out = _forward(params, ds.X)
@@ -296,10 +296,6 @@ class TestTrainer:
         "field, value",
         [
             ("max_iterations", -1),
-            ("initial_step", 0.0),
-            ("initial_step", -0.1),
-            ("initial_step", float("nan")),
-            ("initial_step", float("inf")),
         ],
     )
     def test_config_rejects_a_budget_that_cannot_train(self, field, value):
@@ -371,7 +367,8 @@ class TestChunks:
         monkeypatch.setattr(mlp, "_slice_count", lambda batch, work: 1)
         arch = MlpArchitecture(widths)
         ds, _ = draw_dataset(NnScenario(), True, RngStream(16, 0).generator(), n_train=12, n_test=0)
-        config = TrainerConfig(restarts=restarts, max_iterations=200, initial_step=10.0)
+        config = TrainerConfig(restarts=restarts, max_iterations=200)
+        monkeypatch.setattr(mlp, "_INITIAL_STEP", 10.0)
         batch = 12 * restarts
         sizes = []
         train_chunk = mlp._train_chunk
@@ -465,7 +462,8 @@ class TestSlices:
         # 15 networks in 2 or 3 slices split fold 2's restarts, or folds 1 and 3
         arch = MlpArchitecture(widths)
         ds, _ = draw_dataset(NnScenario(), True, RngStream(16, 0).generator(), n_train=12, n_test=0)
-        config = TrainerConfig(restarts=restarts, max_iterations=200, initial_step=10.0)
+        config = TrainerConfig(restarts=restarts, max_iterations=200)
+        monkeypatch.setattr(mlp, "_INITIAL_STEP", 10.0)
         masks = np.ones((1, 12)) if folds == 1 else (1.0 - np.eye(12))[:folds]
         runs = {}
         for slices in (1, 2, 3):

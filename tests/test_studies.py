@@ -3,7 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
-from predcurves import canonicalize_mlp, studies
+from predcurves import studies
 from predcurves.conformal import Dataset
 from predcurves.learners import FeatureMap, FixedRuleLearner, OlsLearner
 from predcurves.mlp import MlpArchitecture, MlpLearner, TrainerConfig
@@ -12,6 +12,7 @@ from predcurves.scenarios import LinearScenario, NnScenario
 from predcurves.studies import (
     PARAM_NAMES,
     LearnerSpec,
+    canonicalize_mlp,
     deep_architecture,
     export_curves,
     linear_learner_specs,
