@@ -1,4 +1,4 @@
-"""Golden fingerprint: twelve reference CLI runs against committed outputs.
+"""Golden fingerprint: thirteen reference CLI runs against committed outputs.
 
 Outputs with no neural network in them are compared byte for byte, by
 md5. Network-derived values are compared numerically instead: a trainer
@@ -27,6 +27,7 @@ REFERENCE_MD5 = {
     "table1 --seed 8": "7afe626d9ab5704414f58aa4b9599182",
     "table1 --seed 8 --format json": "849a6eda3b0336c137c757eeb9de8364",
     "table1 --seed 8 --alpha 0.025 --cov-shift-scale 1.0": "70b1fdd6226ffb73ec457885dc275639",
+    "table1 --seed 8 --scale desk": "d67f5aff6a5864ac0fa4c86907fbe31c",
     "table3 --seed 1 --reps 1": "1f2b25c97a3a4a1daf1fdb6dc44132d5",
     "curves --seed 8 --scenario linear --x-new sample-mean": "eed4bf0f6436dd1df846121dbcf924e9",
     "curves --seed 8 --scenario linear --x-new iid-draw": "01e84938ae5201aaf59a7301f714cfd4",
@@ -42,6 +43,7 @@ EXACT = [
     "table1 --seed 8",
     "table1 --seed 8 --format json",
     "table1 --seed 8 --alpha 0.025 --cov-shift-scale 1.0",
+    "table1 --seed 8 --scale desk",
     "curves --seed 8 --scenario linear --x-new sample-mean",
     "curves --seed 8 --scenario linear --x-new iid-draw",
     "curves --seed 8 --scenario linear --x-new non-iid-draw",
