@@ -32,7 +32,7 @@ import numpy as np
 
 from .emit import emit_curves, emit_param_mse, emit_results
 from .gaussian_toy import GaussianToySample, confidence_curve, predictive_curve_toy
-from .mlp import OPT_MSE, SINGLE_RESTART, TrainerConfig
+from .mlp import OPT_MSE, TrainerConfig
 from .rng import RngStream
 from .scenarios import LinearScenario, NnScenario
 from .studies import (
@@ -57,7 +57,7 @@ FLAGS = {
     "reps": ({"type": int}, None),
     "depth": ({"type": int}, None),
     "restarts": ({"type": int}, OPT_MSE.restarts),
-    "cov-shift-scale": ({"type": float}, 0.5),
+    "cov-shift-scale": ({"type": float}, LinearScenario.cov_shift_scale),
     "scenario": ({"choices": ("linear", "nn")}, "linear"),
     "x-new": ({"type": str}, "sample-mean"),
     "grid-points": ({"type": int}, 400),
@@ -217,7 +217,7 @@ def _run_table3(cfg: argparse.Namespace) -> str:
         )
     rows = run_table_nn(
         cfg.seed, alpha=cfg.alpha, n_train=cfg.n_train, reps=cfg.reps, deep_depths=cfg.deep_depths,
-        opt_config=TrainerConfig(cfg.restarts), single_config=SINGLE_RESTART,
+        opt_config=TrainerConfig(cfg.restarts),
     )
     return emit_results(rows, cfg.format, cfg.out)
 
@@ -227,7 +227,7 @@ def _run_curves(cfg: argparse.Namespace) -> str:
         scenario, specs = LinearScenario(), linear_learner_specs()
     else:
         scenario = NnScenario()
-        specs = nn_learner_specs(cfg.deep_depths, TrainerConfig(cfg.restarts), SINGLE_RESTART)
+        specs = nn_learner_specs(cfg.deep_depths, TrainerConfig(cfg.restarts))
     rows = export_curves(
         scenario, specs, x_new=cfg.x_new, grid_points=cfg.grid_points, seed=cfg.seed,
         n_train=cfg.n_train,

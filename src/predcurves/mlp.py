@@ -457,9 +457,5 @@ class MlpLearner:
         X = dataset.X
         if self.input_indices is not None:
             X = X[:, list(self.input_indices)]
-        if X.shape[1] != self.architecture.input_dim:
-            raise ValueError(
-                f"architecture expects {self.architecture.input_dim} inputs, got {X.shape[1]}"
-            )
         best, _, _ = train_batched(self.architecture, self.trainer, X, dataset.y, rng, fold_masks)
         return [MlpModel([W[fold] for W in best], self.input_indices) for fold in range(len(fold_masks))]

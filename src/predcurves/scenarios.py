@@ -20,6 +20,11 @@ nn
     covariates by three independent noncentral-t draws, which are both
     translated and heavy tailed.
 
+A scenario's law constants are class attributes; its fields are what
+callers set (``beta``, ``cov_shift_scale``; ``sigma2``). Every draw takes
+the training size as an argument: ``NnScenario.n_train`` is read by
+nothing, kept only because ``perfbench`` passes it.
+
 Every row comes from ``draw_pairs``: covariates from the training law
 or the scenario's ``shifted_covariates``, then responses.
 ``draw_dataset`` is the one train-then-test draw for every scenario;
@@ -63,14 +68,13 @@ class LinearScenario:
     """
 
     family: ClassVar[str] = "linear"
+    sigma2: ClassVar[float] = 1.0
+    mu_x: ClassVar[tuple[float, float]] = (0.0, 0.0)
+    rho_x: ClassVar[float] = 0.5
+    shift: ClassVar[tuple[float, float]] = (2.0, 2.0)
+    rho_shift: ClassVar[float] = 0.8
     beta: tuple[float, float, float] = (-1.0, 2.0, 2.0)
-    sigma2: float = 1.0
-    mu_x: tuple[float, float] = (0.0, 0.0)
-    rho_x: float = 0.5
-    shift: tuple[float, float] = (2.0, 2.0)
-    rho_shift: float = 0.8
     cov_shift_scale: float = 0.5
-    n_train: int = 300
 
     @property
     def cov_x(self) -> np.ndarray:
@@ -97,12 +101,12 @@ class LinearScenario:
 @dataclass(frozen=True)
 class NnScenario:
     family: ClassVar[str] = "nn"
+    mu_x: ClassVar[tuple[float, float, float]] = (0.0, 0.0, 0.0)
+    rho_x: ClassVar[float] = 0.5
+    t_df: ClassVar[float] = 3.0
+    t_ncp: ClassVar[float] = 1.0
     sigma2: float = 1.0
-    mu_x: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    rho_x: float = 0.5
-    t_df: float = 3.0
-    t_ncp: float = 1.0
-    n_train: int = 300
+    n_train: int = 300  # read by nothing; perfbench's DeepLooPaper passes it
 
     @property
     def cov_x(self) -> np.ndarray:
@@ -173,11 +177,11 @@ def draw_dataset(
     scenario: LinearScenario | NnScenario,
     iid: bool,
     rng: np.random.Generator,
-    n_train: int | None = None,
-    n_test: int = 1,
+    n_train: int,
+    n_test: int,
 ) -> tuple[Dataset, tuple[np.ndarray, np.ndarray]]:
-    """``n_train`` training pairs (default the scenario's), then ``n_test`` under ``iid``, on one stream."""
-    X, y = draw_pairs(scenario, True, rng, scenario.n_train if n_train is None else n_train)
+    """``n_train`` training pairs, then ``n_test`` under ``iid``, on one stream."""
+    X, y = draw_pairs(scenario, True, rng, n_train)
     return Dataset(X, y), draw_pairs(scenario, iid, rng, n_test)
 
 

@@ -90,7 +90,7 @@ def deep_architecture(depth: int) -> MlpArchitecture:
 
 
 def nn_learner_specs(
-    deep_depths: tuple[int, int] = (5, 5),
+    deep_depths: tuple[int, int],
     opt_config: TrainerConfig = OPT_MSE,
     single_config: TrainerConfig = SINGLE_RESTART,
 ) -> list[LearnerSpec]:
@@ -134,18 +134,17 @@ def run_studies(
     test_points_per_rep: int,
     seed: int,
     laws: tuple[bool, ...],
-    n_train: int | None = None,
+    n_train: int,
 ) -> list[MonteCarloReport]:
     """Empirical coverage and average width of every learner under every test law.
 
-    ``laws`` holds one ``iid`` flag per test law; ``n_train`` defaults to
-    the scenario's.
+    ``laws`` holds one ``iid`` flag per test law; each repetition draws
+    ``n_train`` training rows (a scenario's fields set only its law).
 
     Neither the training rows nor the fitting stream depends on the law,
     so each learner is fitted once per repetition and scored on the test
     rows of all laws together. Rows are ordered by law, then by learner.
     """
-    n_train = scenario.n_train if n_train is None else n_train
     m = test_points_per_rep
     hits = [[0] * len(specs) for _ in laws]
     width_total = [[0.0] * len(specs) for _ in laws]
@@ -189,15 +188,16 @@ def run_studies(
 def run_table_linear(
     seed: int,
     alpha: float = 0.05,
-    n_train: int = 300,
-    reps: int = 200,
+    *,
+    n_train: int,
+    reps: int,
     test_points: int = 1,
     scenario: LinearScenario | None = None,
 ) -> list[MonteCarloReport]:
     """Linear study: four learners under the iid and shifted test laws.
 
-    ``scenario`` defaults to ``LinearScenario()``; its ``n_train`` is
-    ignored in favour of the argument.
+    ``scenario`` defaults to ``LinearScenario()``, whose fields set only
+    the law; the sizes are the arguments.
     """
     scenario = scenario or LinearScenario()
     return run_studies(
@@ -208,18 +208,17 @@ def run_table_linear(
 def run_table_nn(
     seed: int,
     alpha: float = 0.05,
-    n_train: int = 100,
-    reps: int = 5,
+    *,
+    n_train: int,
+    reps: int,
     test_points: int = 20,
-    deep_depths: tuple[int, int] = (5, 5),
+    deep_depths: tuple[int, int],
     opt_config: TrainerConfig = OPT_MSE,
     single_config: TrainerConfig = SINGLE_RESTART,
 ) -> list[MonteCarloReport]:
     """Neural-network study: five learners (two fits of the true shape)."""
     specs = nn_learner_specs(deep_depths, opt_config, single_config)
-    return run_studies(
-        NnScenario(n_train=n_train), specs, alpha, reps, test_points, seed, (True, False), n_train
-    )
+    return run_studies(NnScenario(), specs, alpha, reps, test_points, seed, (True, False), n_train)
 
 
 # first-layer weights row-major (hidden unit, input), then the output weights
@@ -270,10 +269,9 @@ def nearest_reference_sq_err(params, references: list) -> np.ndarray:
 
 def run_param_mse_study(
     seed: int,
-    n_train: int = 300,
-    reps: int = 10,
+    n_train: int,
+    reps: int,
     opt_config: TrainerConfig = OPT_MSE,
-    single_config: TrainerConfig = SINGLE_RESTART,
     scenario: NnScenario | None = None,
 ) -> dict:
     """Estimation accuracy of the two fitting procedures on the true shape.
@@ -285,9 +283,9 @@ def run_param_mse_study(
     truth's equivalence class; without both steps per-parameter error is
     not well defined, see :meth:`NnScenario.equivalent_true_params`.
     """
-    scenario = scenario or NnScenario(n_train=n_train)
+    scenario = scenario or NnScenario()
     references = [canonicalize_mlp(p) for p in scenario.equivalent_true_params()]
-    configs = {"opt-mse": opt_config, "single": single_config}
+    configs = {"opt-mse": opt_config, "single": SINGLE_RESTART}
     sums = {est: np.zeros(len(PARAM_NAMES)) for est in configs}
     for rep in range(reps):
         gen = RngStream(seed, rep).generator()
@@ -317,10 +315,10 @@ X_NEW_MODES = ("sample-mean", "iid-draw", "non-iid-draw")
 def export_curves(
     scenario: LinearScenario | NnScenario,
     specs: list[LearnerSpec],
-    x_new="sample-mean",
-    grid_points: int = 400,
-    seed: int = 0,
-    n_train: int | None = None,
+    x_new,
+    grid_points: int,
+    seed: int,
+    n_train: int,
 ) -> list[tuple[str, float, float]]:
     """Predictive-curve rows ``(label, y, pv)`` for each learner plus the oracle.
 
@@ -331,7 +329,6 @@ def export_curves(
     """
     if isinstance(x_new, str) and x_new not in X_NEW_MODES:
         raise ValueError(f"unknown x_new selection {x_new!r}")
-    n_train = scenario.n_train if n_train is None else n_train
     gen = RngStream(seed, 0).generator()
     iid = not (isinstance(x_new, str) and x_new == "non-iid-draw")
     dataset, (X_test, _) = draw_dataset(scenario, iid, gen, n_train, 1)

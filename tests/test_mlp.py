@@ -340,6 +340,18 @@ class TestTrainer:
         model = learner.fit(ds, RngStream(1).generator())
         assert model.predict(ds.X).shape == (10,)
 
+    @pytest.mark.parametrize("input_indices", [None, (0,)], ids=["all-inputs", "subset"])
+    @pytest.mark.parametrize("method", ["fit", "loo_scores"])
+    def test_learner_width_mismatch_rejected_before_any_draw(self, input_indices, method):
+        # the width the network sees (after ``input_indices``) is 3 or 1, never its 2
+        ds = Dataset(np.arange(30.0).reshape(10, 3), np.arange(10.0))
+        learner = MlpLearner(MlpArchitecture((2, 1)), SINGLE_RESTART, input_indices=input_indices)
+        gen = RngStream(22, 0).generator()
+        args = (ds, gen) if method == "fit" else (ds, ds.X[:2], gen)
+        with pytest.raises(ValueError, match=r"X of shape \(10, [13]\) must be \(n, 2\)"):
+            getattr(learner, method)(*args)
+        assert gen.random() == RngStream(22, 0).generator().random()
+
     def test_opt_mse_beats_single_restart_on_median(self):
         scenario = NnScenario()
         refs = [canonicalize_mlp(p) for p in scenario.equivalent_true_params()]

@@ -1,3 +1,4 @@
+import inspect
 import pickle
 
 import numpy as np
@@ -8,7 +9,7 @@ from predcurves.conformal import Dataset
 from predcurves.learners import FeatureMap, FixedRuleLearner, OlsLearner
 from predcurves.mlp import MlpArchitecture, MlpLearner, TrainerConfig
 from predcurves.rng import RngStream
-from predcurves.scenarios import LinearScenario, NnScenario
+from predcurves.scenarios import LinearScenario, NnScenario, draw_dataset
 from predcurves.studies import (
     PARAM_NAMES,
     LearnerSpec,
@@ -63,8 +64,6 @@ class TestScoreMatrix:
     def test_fast_path_matches_engine(self):
         scenario = LinearScenario()
         gen = RngStream(400, 0).generator()
-        from predcurves.scenarios import draw_dataset
-
         dataset, (X_test, _) = draw_dataset(scenario, True, gen, n_train=30, n_test=4)
         learner = OlsLearner(FeatureMap("linear", input_dim=2))
         fast = score_matrix(dataset, learner, X_test, gen)
@@ -172,7 +171,7 @@ class TestTableLinear:
         assert iid["mu0"].avg_width < iid["mu3"].avg_width
 
     def test_paper_scale_invariants(self):
-        rows = run_table_linear(seed=8)
+        rows = run_table_linear(seed=8, n_train=300, reps=200)
         iid = {r.learner: r for r in rows if r.scenario == "linear-iid"}
         noniid = {r.learner: r for r in rows if r.scenario == "linear-noniid"}
         # coverage floor for every learner under iid sampling
@@ -216,7 +215,7 @@ class TestTablesShareFitsAcrossLaws:
             deep_depths=(3, 4), opt_config=opt, single_config=single,
         )
         specs = nn_learner_specs((3, 4), opt, single)
-        expected = self._per_law_rows(NnScenario(n_train=10), specs, 0.2, 2, 3, 4, 10)
+        expected = self._per_law_rows(NnScenario(), specs, 0.2, 2, 3, 4, 10)
         assert rows == expected
 
     @pytest.mark.parametrize("scenario", [LinearScenario(), NnScenario()], ids=["linear", "nn"])
@@ -232,6 +231,54 @@ class TestTablesShareFitsAcrossLaws:
         learner = OlsLearner(FeatureMap("intercept", input_dim=scenario.cov_x.shape[0]))
         run_studies(scenario, [LearnerSpec("mu", "ols", learner)], 0.2, 3, 2, 0, (True, False), 10)
         assert len(calls) == 3
+
+
+class TestTrainingSizeIsTheArgument:
+    """``NnScenario.n_train`` is read by nothing: every draw takes the size it is given."""
+
+    SCENARIO = NnScenario(n_train=7)
+    SPEC = LearnerSpec("mu4", "ols", OlsLearner(FeatureMap("intercept", input_dim=3)))
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        sizes = []
+        generate = studies.draw_dataset
+
+        def recorded(*args, **kwargs):
+            dataset, test = generate(*args, **kwargs)
+            sizes.append(dataset.n)
+            return dataset, test
+
+        monkeypatch.setattr(studies, "draw_dataset", recorded)
+        return sizes
+
+    def test_draw_dataset(self):
+        dataset, _ = draw_dataset(self.SCENARIO, True, RngStream(0, 0).generator(), 12, 1)
+        assert dataset.n == 12
+
+    def test_run_studies(self, drawn):
+        (report,) = run_studies(self.SCENARIO, [self.SPEC], 0.2, 2, 1, 0, (True,), 12)
+        assert drawn == [12, 12]
+        assert report.n_train == 12
+
+    def test_export_curves(self, drawn):
+        export_curves(self.SCENARIO, [self.SPEC], "sample-mean", 10, 0, 12)
+        assert drawn == [12]
+
+
+@pytest.mark.parametrize(
+    "function",
+    [run_table_linear, run_table_nn, run_param_mse_study, nn_learner_specs, run_studies,
+     export_curves, draw_dataset],
+    ids=lambda function: function.__name__,
+)
+def test_no_size_has_a_default(function):
+    # cli.SIZES is the one home of the training size, repetitions and deep depths;
+    # a default here would be a second one that the CLI never reads
+    params = inspect.signature(function).parameters
+    sizes = [params[name] for name in ("n_train", "reps", "deep_depths") if name in params]
+    assert sizes, f"{function.__name__} takes none of n_train, reps, deep_depths"
+    assert [p.name for p in sizes if p.default is not inspect.Parameter.empty] == []
 
 
 class TestNearestReference:
@@ -303,8 +350,6 @@ class TestExportCurves:
         ys = [y for y, _ in oracle]
         assert ys == sorted(ys)
         # oracle peaks at the true mean response at the test covariate
-        from predcurves.scenarios import draw_dataset
-
         gen = RngStream(8, 0).generator()
         dataset, _ = draw_dataset(scenario, True, gen, n_train=80, n_test=1)
         x_bar = dataset.X.mean(axis=0)
