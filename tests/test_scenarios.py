@@ -9,6 +9,7 @@ from predcurves.scenarios import (
     NnScenario,
     ar_covariance,
     draw_dataset,
+    draw_pairs,
     draw_test_laws,
     gen_linear,
     gen_nn,
@@ -59,6 +60,23 @@ class TestLinearScenario:
 def test_one_draw_under_every_name():
     assert gen_linear is gen_nn is draw_dataset
     assert (LinearScenario().family, NnScenario.family) == ("linear", "nn")
+
+
+@pytest.mark.parametrize(
+    "scenario, iid, mean, cov",
+    [
+        (LinearScenario(), True, [0.0, 0.0], ar_covariance(2, 0.5)),
+        (LinearScenario(), False, [2.0, 2.0], ar_covariance(2, 0.8, 0.5)),
+        (LinearScenario(cov_shift_scale=1.0), False, [2.0, 2.0], ar_covariance(2, 0.8, 1.0)),
+        (NnScenario(), True, [0.0, 0.0, 0.0], ar_covariance(3, 0.5)),
+    ],
+    ids=["linear-iid", "linear-shifted-0.5", "linear-shifted-1.0", "nn-iid"],
+)
+def test_gaussian_draws_are_mean_plus_cholesky_product(scenario, iid, mean, cov):
+    # bit for bit: the covariates are mean + z L^T with z standard normal and L L^T = cov
+    z = RngStream(302, 0).generator().standard_normal((40, len(mean)))
+    X, _ = draw_pairs(scenario, iid, RngStream(302, 0).generator(), 40)
+    np.testing.assert_array_equal(X, np.asarray(mean) + z @ np.linalg.cholesky(cov).T)
 
 
 @pytest.mark.parametrize("scenario", [LinearScenario(), NnScenario()], ids=["linear", "nn"])
