@@ -33,6 +33,7 @@ import numpy as np
 from .emit import emit_curves, emit_param_mse, emit_results
 from .gaussian_toy import GaussianToySample, confidence_curve, predictive_curve_toy
 from .mlp import OPT_MSE, TrainerConfig
+from .quantiles import check_two_sided_alpha
 from .rng import RngStream
 from .scenarios import LinearScenario, NnScenario
 from .studies import (
@@ -147,9 +148,10 @@ def parse_config(argv: list[str]) -> argparse.Namespace:
         raise UsageError(f"{cfg.command} requires --seed")
     if cfg.seed is not None and not 0 <= cfg.seed < 2**64:
         raise UsageError("--seed must be an unsigned 64-bit integer")
-    # at alpha <= 2**-53 the upper level 1 - alpha / 2 rounds to 1
-    if not (0.0 < cfg.alpha < 1.0 and 1.0 - cfg.alpha / 2.0 < 1.0):
-        raise UsageError(f"--alpha must be in (2**-53, 1), got {cfg.alpha}")
+    try:
+        check_two_sided_alpha(cfg.alpha)
+    except ValueError as exc:
+        raise UsageError(f"--{exc}")
     if not 0.0 < cfg.cov_shift_scale < np.inf:
         raise UsageError(f"--cov-shift-scale must be positive and finite, got {cfg.cov_shift_scale}")
     for flag in ("n-train", "reps", "depth", "restarts", "n"):

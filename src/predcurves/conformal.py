@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantiles import level_rank, order_stat_index
+from .quantiles import check_two_sided_alpha, level_rank, order_stat_index
 
 
 @dataclass(frozen=True)
@@ -147,9 +147,7 @@ def interval_from_scores(
     extreme order statistics and ``clamped`` is set; the coverage
     guarantee is unaffected (the interval only widens).
     """
-    # at alpha <= 2**-53 the upper level 1 - alpha / 2 rounds to 1
-    if not (0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):
-        raise ValueError(f"alpha must be in (2**-53, 1), got {alpha}")
+    check_two_sided_alpha(alpha)
     s = np.sort(np.asarray(scores, dtype=float), axis=0)
     n = s.shape[0]
     lower = s[order_stat_index(n, alpha / 2.0) - 1]

@@ -8,7 +8,8 @@ the sample, so interval endpoints produced downstream are always attained
 scores, and the level sets of the empirical step function built with a
 ``>=`` comparison coincide with quantile intervals. ``order_stat_index`` gives
 ``k``; ``conformal.interval_from_scores`` is the one place that selects
-the element.
+the element. ``check_two_sided_alpha`` is the one domain check of a
+two-sided level, shared by that selection and the command line.
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ def level_rank(n: int, alpha: float) -> float:
     rank = alpha * n
     nearest = round(rank)
     return float(nearest) if abs(rank - nearest) <= 1e-12 * rank else rank
+
+
+def check_two_sided_alpha(alpha: float) -> None:
+    """Raise ``ValueError`` unless the levels ``alpha / 2`` and ``1 - alpha / 2`` both lie in (0, 1)."""
+    # at alpha <= 2**-53 the upper level 1 - alpha / 2 rounds to 1
+    if not (0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):
+        raise ValueError(f"alpha must be in (2**-53, 1), got {alpha}")
 
 
 def order_stat_index(n: int, alpha: float) -> int:

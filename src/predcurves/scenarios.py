@@ -25,6 +25,11 @@ callers set (``beta``, ``cov_shift_scale``; ``sigma2``). Every draw takes
 the training size as an argument: ``NnScenario.n_train`` is read by
 nothing, kept only because ``perfbench`` passes it.
 
+Each Gaussian law is factored once by ``cholesky_t``, where it is
+declared: ``chol_x_t`` with the class, ``LinearScenario.chol_shift_t``
+when the scenario is built (so a bad ``cov_shift_scale`` fails there).
+``sample_mvn`` takes the factor; no draw rebuilds a covariance.
+
 Every row comes from ``draw_pairs``: covariates from the training law
 or the scenario's ``shifted_covariates``, then responses.
 ``draw_dataset`` is the one train-then-test draw for every scenario;
@@ -35,20 +40,62 @@ pairs come first on the stream, so no test law or size moves them, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from .conformal import Dataset
 from .mlp import _forward
-from .sampling import sample_mvn, sample_noncentral_t
 
 
 def ar_covariance(dim: int, rho: float, scale: float = 0.5) -> np.ndarray:
     """Covariance with entries ``scale * rho ** |k - k'|``."""
     idx = np.arange(dim)
     return scale * rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+def cholesky_t(cov: np.ndarray) -> np.ndarray:
+    """``L^T`` for the lower Cholesky factor ``L`` of ``cov`` (``L L^T = cov``); read-only.
+
+    Raises ``ValueError`` unless ``cov`` is finite, positive definite and
+    exactly symmetric (the factor reads only its lower triangle). The
+    factor is the transposed view of the C-ordered ``np.linalg.cholesky``
+    result, so ``z @ cholesky_t(cov)`` has the bits of
+    ``z @ np.linalg.cholesky(cov).T``.
+    """
+    cov = np.asarray(cov, dtype=float)
+    if not (np.isfinite(cov).all() and np.array_equal(cov, cov.T)):
+        raise ValueError("covariance not positive definite")
+    try:
+        chol_t = np.linalg.cholesky(cov).T
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("covariance not positive definite") from exc
+    chol_t.flags.writeable = False
+    return chol_t
+
+
+def sample_mvn(
+    mean: np.ndarray | tuple[float, ...], chol_t: np.ndarray, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """``size`` draws ``mean + z @ chol_t``, ``z`` standard normal; ``chol_t`` from ``cholesky_t``."""
+    return mean + rng.standard_normal((size, chol_t.shape[0])) @ chol_t
+
+
+def sample_noncentral_t(
+    df: float, ncp: float, rng: np.random.Generator, size: int | tuple[int, ...]
+) -> np.ndarray:
+    """Noncentral t draws of shape ``size``, built as ``(Z + ncp) / sqrt(V / df)``.
+
+    ``Z`` is standard normal and ``V`` chi-square with ``df`` degrees of
+    freedom, drawn independently in that order (all ``Z`` first, then all
+    ``V``).
+    """
+    if df <= 0:
+        raise ValueError(f"df must be positive, got {df}")
+    z = rng.standard_normal(size)
+    v = rng.chisquare(df, size)
+    return (z + ncp) / np.sqrt(v / df)
 
 
 @dataclass(frozen=True)
@@ -71,22 +118,21 @@ class LinearScenario:
     sigma2: ClassVar[float] = 1.0
     mu_x: ClassVar[tuple[float, float]] = (0.0, 0.0)
     rho_x: ClassVar[float] = 0.5
+    cov_x: ClassVar[np.ndarray] = ar_covariance(2, rho_x)
+    chol_x_t: ClassVar[np.ndarray] = cholesky_t(cov_x)
     shift: ClassVar[tuple[float, float]] = (2.0, 2.0)
+    mu_shifted: ClassVar[np.ndarray] = np.add(mu_x, shift)
     rho_shift: ClassVar[float] = 0.8
     beta: tuple[float, float, float] = (-1.0, 2.0, 2.0)
     cov_shift_scale: float = 0.5
+    chol_shift_t: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def cov_x(self) -> np.ndarray:
-        return ar_covariance(2, self.rho_x)
+    def __post_init__(self):
+        object.__setattr__(self, "chol_shift_t", cholesky_t(self.cov_shift))
 
     @property
     def cov_shift(self) -> np.ndarray:
         return ar_covariance(2, self.rho_shift, self.cov_shift_scale)
-
-    @property
-    def mu_shifted(self) -> np.ndarray:
-        return np.asarray(self.mu_x) + np.asarray(self.shift)
 
     def mean_response(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -95,7 +141,7 @@ class LinearScenario:
 
     def shifted_covariates(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` covariate rows of the shifted test law."""
-        return sample_mvn(self.mu_shifted, self.cov_shift, rng, size=size)
+        return sample_mvn(self.mu_shifted, self.chol_shift_t, rng, size)
 
 
 @dataclass(frozen=True)
@@ -103,14 +149,12 @@ class NnScenario:
     family: ClassVar[str] = "nn"
     mu_x: ClassVar[tuple[float, float, float]] = (0.0, 0.0, 0.0)
     rho_x: ClassVar[float] = 0.5
+    cov_x: ClassVar[np.ndarray] = ar_covariance(3, rho_x)
+    chol_x_t: ClassVar[np.ndarray] = cholesky_t(cov_x)
     t_df: ClassVar[float] = 3.0
     t_ncp: ClassVar[float] = 1.0
     sigma2: float = 1.0
     n_train: int = 300  # read by nothing; perfbench's DeepLooPaper passes it
-
-    @property
-    def cov_x(self) -> np.ndarray:
-        return ar_covariance(3, self.rho_x)
 
     def true_params(self) -> list:
         """Weights whose network computes max(0, max(0, z1+z2) - max(0, w))."""
@@ -153,7 +197,7 @@ def draw_pairs(scenario, iid: bool, rng: np.random.Generator, size: int):
     shifted law otherwise. A zero-size draw leaves ``rng`` where it was.
     """
     if iid:
-        X = sample_mvn(np.asarray(scenario.mu_x), scenario.cov_x, rng, size=size)
+        X = sample_mvn(scenario.mu_x, scenario.chol_x_t, rng, size)
     else:
         X = scenario.shifted_covariates(rng, size)
     return X, scenario.mean_response(X) + np.sqrt(scenario.sigma2) * rng.standard_normal(size)

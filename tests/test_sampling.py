@@ -3,8 +3,7 @@ import pytest
 from scipy import stats
 
 from predcurves.rng import RngStream, labeled_generator
-from predcurves.sampling import sample_mvn, sample_noncentral_t
-from predcurves.scenarios import ar_covariance
+from predcurves.scenarios import ar_covariance, cholesky_t, sample_mvn, sample_noncentral_t
 
 # median of the (Z + 1)/sqrt(V/3) construction, frozen from a 1e7-draw run
 NCT_MEDIAN_DF3_NCP1 = 1.0916
@@ -23,8 +22,8 @@ class TestRngStream:
 
     def test_value_semantics(self):
         stream = RngStream(9, 2)
-        x = sample_mvn(np.zeros(2), np.eye(2), stream.generator(), size=1)
-        y = sample_mvn(np.zeros(2), np.eye(2), stream.generator(), size=1)
+        x = sample_mvn(np.zeros(2), cholesky_t(np.eye(2)), stream.generator(), size=1)
+        y = sample_mvn(np.zeros(2), cholesky_t(np.eye(2)), stream.generator(), size=1)
         np.testing.assert_array_equal(x, y)
 
     def test_labeled_generator_stable(self):
@@ -38,7 +37,7 @@ class TestRngStream:
 class TestSampleMvn:
     def test_identity_moments(self):
         gen = RngStream(2026, 0).generator()
-        draws = sample_mvn(np.zeros(3), np.eye(3), gen, size=100_000)
+        draws = sample_mvn(np.zeros(3), cholesky_t(np.eye(3)), gen, size=100_000)
         assert np.all(np.abs(draws.mean(axis=0)) < 0.02)
         assert np.all(np.abs(draws.var(axis=0) - 1.0) < 0.03)
 
@@ -46,51 +45,43 @@ class TestSampleMvn:
         cov = ar_covariance(2, 0.5)
         np.testing.assert_allclose(cov, [[0.5, 0.25], [0.25, 0.5]])
         gen = RngStream(2026, 1).generator()
-        draws = sample_mvn(np.zeros(2), cov, gen, size=100_000)
+        draws = sample_mvn(np.zeros(2), cholesky_t(cov), gen, size=100_000)
         sample_cov = np.cov(draws.T)
         assert np.max(np.abs(sample_cov - cov)) < 0.03
 
     def test_scalar_case(self):
         gen = RngStream(2026, 2).generator()
-        draws = sample_mvn(np.zeros(1), np.array([[4.0]]), gen, size=100_000)
+        draws = sample_mvn(np.zeros(1), cholesky_t(np.array([[4.0]])), gen, size=100_000)
         assert abs(draws.var() - 4.0) < 0.15
 
     def test_non_positive_definite_rejected(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(ValueError, match="covariance not positive definite"):
-            sample_mvn(np.zeros(2), bad, RngStream(0).generator(), size=1)
+        for bad in ([[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]):
+            with pytest.raises(ValueError, match="covariance not positive definite"):
+                cholesky_t(np.array(bad))
 
     def test_asymmetric_rejected(self):
-        bad = np.array([[1.0, 0.5], [0.1, 1.0]])
-        with pytest.raises(ValueError, match="covariance not positive definite"):
-            sample_mvn(np.zeros(2), bad, RngStream(0).generator(), size=1)
-
-    @pytest.mark.parametrize(
-        "bad", [[[1.0, 0.5], [0.1, 1.0]], [[1.0, 2.0], [2.0, 1.0]]], ids=["asymmetric", "indefinite"]
-    )
-    def test_invalid_covariance_rejected_on_every_call(self, bad):
-        for _ in range(3):
+        # the factor reads only the lower triangle, so symmetry must be exact
+        for bad in ([[1.0, 0.5], [0.1, 1.0]], [[1.0, 0.5], [0.5 + 1e-15, 1.0]]):
             with pytest.raises(ValueError, match="covariance not positive definite"):
-                sample_mvn(np.zeros(2), np.array(bad), RngStream(0).generator(), size=1)
+                cholesky_t(np.array(bad))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        for bad in ([[value, 0.0], [0.0, 1.0]], [[1.0, value], [value, 1.0]]):
+            with pytest.raises(ValueError, match="covariance not positive definite"):
+                cholesky_t(np.array(bad))
+
+    def test_factor_is_read_only(self):
+        chol_t = cholesky_t(ar_covariance(2, 0.5))
+        with pytest.raises(ValueError, match="read-only"):
+            chol_t[0, 0] = 1.0
 
     def test_draws_are_mean_plus_cholesky_product(self):
         mean = np.array([0.3, -1.0, 2.0])
         cov = ar_covariance(3, 0.6)
-        for _ in range(3):  # the first call factors, the others reuse the factor
-            z = RngStream(2026, 3).generator().standard_normal((50, 3))
-            draws = sample_mvn(mean, cov, RngStream(2026, 3).generator(), size=50)
-            np.testing.assert_array_equal(draws, mean + z @ np.linalg.cholesky(cov).T)
-
-    def test_covariance_changed_in_place_gets_a_new_factor(self):
-        cov = ar_covariance(2, 0.5)
-        sample_mvn(np.zeros(2), cov, RngStream(0).generator(), size=1)
-        cov *= 4.0
-        z = RngStream(0).generator().standard_normal((20, 2))
-        draws = sample_mvn(np.zeros(2), cov, RngStream(0).generator(), size=20)
-        np.testing.assert_array_equal(draws, z @ np.linalg.cholesky(cov).T)
-        cov[0, 1] = 5.0
-        with pytest.raises(ValueError, match="covariance not positive definite"):
-            sample_mvn(np.zeros(2), cov, RngStream(0).generator(), size=1)
+        z = RngStream(2026, 3).generator().standard_normal((50, 3))
+        draws = sample_mvn(mean, cholesky_t(cov), RngStream(2026, 3).generator(), size=50)
+        np.testing.assert_array_equal(draws, mean + z @ np.linalg.cholesky(cov).T)
 
 
 class TestSampleNoncentralT:

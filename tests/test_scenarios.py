@@ -26,6 +26,11 @@ class TestLinearScenario:
         np.testing.assert_allclose(unit.cov_shift, [[1.0, 0.8], [0.8, 1.0]])
         np.testing.assert_allclose(unit.cov_x, sc.cov_x)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_shift_scale_without_a_covariance_refused(self, scale):
+        with pytest.raises(ValueError, match="covariance not positive definite"):
+            LinearScenario(cov_shift_scale=scale)
+
     def test_response_moments(self):
         sc = LinearScenario()
         gen = RngStream(300, 0).generator()
