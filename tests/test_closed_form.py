@@ -128,6 +128,29 @@ class TestHomeostasis:
         np.testing.assert_allclose(report.w_perp, W - proj @ W, atol=1e-10)
         np.testing.assert_allclose(report.cancellation_gap, report.bias + report.average_shift)
 
+    @pytest.mark.parametrize("q,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_bias_and_shifts_match_projection_algebra(self, q, k):
+        # y = Z b1 + W b2 + e: the submodel's prediction at x_new has mean
+        # z_new' (Z'Z)^-1 Z'W b2, and its i-th residual term (1 - g_{i,new}) u_i
+        # has mean (1 - g_{i,new}) ((I - P_Z) W b2)_i / (1 - g_ii)
+        for rep in range(5):
+            gen = RngStream(108, 10 * q + k + 100 * rep).generator()
+            n = int(gen.integers(q + k + 5, 40))
+            Z = gen.standard_normal((n, q))
+            W = gen.standard_normal((n, k)) + Z[:, :1] * gen.standard_normal(k)
+            beta = gen.standard_normal(q + k)
+            x_new = gen.standard_normal(q + k)
+            report = homeostasis_report(Z, W, beta, x_new)
+
+            beta2, z_new, w_new = beta[q:], x_new[:q], x_new[q:]
+            ztz_inv = np.linalg.inv(Z.T @ Z)
+            proj = Z @ ztz_inv @ Z.T
+            g_cross = Z @ ztz_inv @ z_new
+            bias = z_new @ ztz_inv @ Z.T @ W @ beta2 - w_new @ beta2
+            shifts = (1.0 - g_cross) / (1.0 - np.diag(proj)) * ((np.eye(n) - proj) @ W @ beta2)
+            assert report.bias == pytest.approx(bias, abs=1e-10)
+            np.testing.assert_allclose(report.shifts, shifts, rtol=0, atol=1e-10)
+
     def test_cancellation_at_sample_mean(self):
         scenario = LinearScenario()
         gaps, biases = [], []

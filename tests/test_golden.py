@@ -6,6 +6,10 @@ change that is exact in real arithmetic may still move the last bit of a
 fitted weight, so each stored value carries the tolerance it is held to.
 The whole-output md5 of every run is listed in ``REFERENCE_MD5`` for the
 record; for the network runs it is not asserted.
+
+``byte_manifest.json`` adds a seed sweep of 400 closed-form runs (see
+``_sweep``), each held to the md5 of its whole output. An entry changes
+only with a byte change that is declared in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -218,3 +223,33 @@ def test_verify(capsys):
         value = float(line.split("= ")[1].split()[0])
         ref_value = float(ref_line.split("= ")[1].split()[0])
         assert value == pytest.approx(ref_value, rel=GRADIENT_CHECK_REL_TOL)
+
+
+MANIFEST = Path(__file__).with_name("byte_manifest.json")
+X_NEW_MODES = ("sample-mean", "iid-draw", "non-iid-draw")
+
+
+def _sweep() -> list[str]:
+    """The manifest's runs, in its order: 64 seeds of each closed-form command, 16 of ``verify``."""
+    runs = []
+    for seed in range(64):
+        runs.append(f"table1 --scale desk --seed {seed}")
+        runs.append(f"table1 --scale desk --seed {seed} --alpha 0.025 --cov-shift-scale 1.0")
+        runs += [f"curves --scenario linear --x-new {mode} --seed {seed}" for mode in X_NEW_MODES]
+        runs.append(f"toy-curves --seed {seed}")
+    return runs + [f"verify --seed {seed}" for seed in range(16)]
+
+
+def _manifest_text(command: str, capsys) -> str:
+    """Whole stdout of one run; for ``verify``, without the gradient check's residue (see VERIFY)."""
+    text = _run(command, capsys)
+    if command.startswith("verify"):
+        text = re.sub(r"^(gradient-check: \w+) \(.*\)$", r"\1", text, flags=re.MULTILINE)
+    return text
+
+
+def test_byte_manifest(capsys):
+    manifest = json.loads(MANIFEST.read_text())
+    assert list(manifest) == _sweep()
+    differ = [cmd for cmd, md5 in manifest.items() if _md5(_manifest_text(cmd, capsys)) != md5]
+    assert not differ, f"{len(differ)} of {len(manifest)} runs differ: {differ}"
