@@ -14,12 +14,18 @@ scores of a learner that omits covariates. Equality with brute-force
 refits (``build_loo_ensemble`` with an ``OlsLearner``) is covered by
 tests rather than assumed.
 
+The least-squares learners over fixed feature maps, and the fixed-rule
+learner that stress-tests the coverage guarantee, score through this
+formula here, without drawing from ``rng``.
+
 This module also quantifies the bias/shift bookkeeping behind interval
 validity under a wrong submodel: dropping covariates biases the point
 prediction, but the leave-one-out residuals pick up an opposite shift,
 and at the covariate mean the two nearly cancel. The report separates
 the two terms so their cancellation (and its failure under covariate
-shift) can be measured directly.
+shift) can be measured directly. Both are the formula above applied to
+the omitted mean ``W beta_2``: bias = the submodel's prediction of the
+omitted mean minus its truth, shifts = that fit's residual terms.
 """
 
 from __future__ import annotations
@@ -28,9 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import interval_from_scores
-from .linalg import least_squares, solve_upper
+from .conformal import Dataset, interval_from_scores
+from .linalg import least_squares
 from .scenarios import LinearScenario, draw_dataset
+
+FEATURE_KINDS = ("linear", "first-only", "first-squared", "intercept")
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,6 @@ class HomeostasisReport:
     shifts: np.ndarray
     average_shift: float
     cancellation_gap: float
-    w_perp: np.ndarray
 
 
 def closed_form_scores(X: np.ndarray, y: np.ndarray, X_new: np.ndarray) -> ClosedFormScores:
@@ -77,6 +84,84 @@ def closed_form_scores(X: np.ndarray, y: np.ndarray, X_new: np.ndarray) -> Close
         point_prediction=pred,
         scores=pred[None, :] + (1.0 - cross) * u[:, None],
     )
+
+
+@dataclass(frozen=True)
+class FeatureMap:
+    """Fixed covariate expansion; all kinds prepend an intercept.
+
+    kind
+        ``linear``         -> (1, x_1, ..., x_d)
+        ``first-only``     -> (1, x_1)
+        ``first-squared``  -> (1, x_1^2)
+        ``intercept``      -> (1,)
+    """
+
+    kind: str
+    input_dim: int
+
+    def __post_init__(self):
+        if self.kind not in FEATURE_KINDS:
+            raise ValueError(f"unknown feature map kind {self.kind!r}")
+        if self.input_dim < 1:
+            raise ValueError("input_dim must be positive")
+
+    def expand_matrix(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.input_dim:
+            raise ValueError(f"expected covariates of dimension {self.input_dim}, got shape {X.shape}")
+        ones = np.ones((X.shape[0], 1))
+        if self.kind == "linear":
+            return np.hstack([ones, X])
+        if self.kind == "first-only":
+            return np.hstack([ones, X[:, :1]])
+        if self.kind == "first-squared":
+            return np.hstack([ones, X[:, :1] ** 2])
+        return ones
+
+
+class OlsModel:
+    """Least-squares model over a feature map."""
+
+    def __init__(self, beta: np.ndarray, feature_map: FeatureMap):
+        self.beta = np.asarray(beta, dtype=float)
+        self.feature_map = feature_map
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self.feature_map.expand_matrix(np.atleast_2d(X)) @ self.beta
+
+
+@dataclass(frozen=True)
+class OlsLearner:
+    """Exact least squares on expanded features; deterministic, rng unused."""
+
+    feature_map: FeatureMap
+
+    def fit(self, dataset: Dataset, rng=None) -> OlsModel:
+        design = self.feature_map.expand_matrix(dataset.X)
+        return OlsModel(least_squares(design, dataset.y).beta, self.feature_map)
+
+    def loo_scores(self, dataset: Dataset, X_test: np.ndarray, rng=None) -> np.ndarray:
+        """Closed-form scores on the expanded design: no refit is performed."""
+        expand = self.feature_map.expand_matrix
+        return closed_form_scores(expand(dataset.X), dataset.y, expand(X_test)).scores
+
+
+@dataclass(frozen=True)
+class FixedRuleLearner:
+    """Ignores the data and predicts ``scale * x[0]``.
+
+    With ``scale = 0`` this is the all-zero predictor; with an absurd scale
+    it is an adversarially bad model. Either way the conformal coverage
+    guarantee must survive, which makes these learners useful stress tests.
+    """
+
+    scale: float
+
+    def loo_scores(self, dataset: Dataset, X_test: np.ndarray, rng=None) -> np.ndarray:
+        """Every fold is the same model, so ``s_ij = c x_j0 + (y_i - c x_i0)``; rng unused."""
+        c = self.scale
+        return c * X_test[:, 0][None, :] + (dataset.y - c * dataset.X[:, 0])[:, None]
 
 
 def homeostasis_report(
@@ -101,22 +186,15 @@ def homeostasis_report(
     beta2 = beta[q:]
     z_new, w_new = x_new[:q], x_new[q:]
 
-    fit = least_squares(Z, np.zeros(Z.shape[0]))
-    g_diag = fit.hat_diag()
-    g_cross = fit.hat_cross_many(z_new[None, :])[:, 0]
-    # coefficients of regressing each W column on Z, and the residual part of W
-    coef = solve_upper(fit.r, fit.q.T @ W)
-    w_perp = W - fit.q @ (fit.q.T @ W)
-
-    bias = float(-w_new @ beta2 + z_new @ (coef @ beta2))
-    shifts = ((1.0 - g_cross) / (1.0 - g_diag)) * (w_perp @ beta2)
+    omitted = closed_form_scores(Z, W @ beta2, z_new[None, :])
+    bias = float(omitted.point_prediction[0] - w_new @ beta2)
+    shifts = (1.0 - omitted.leverage_cross[:, 0]) * omitted.deleted_residuals
     average_shift = float(np.mean(shifts))
     return HomeostasisReport(
         bias=bias,
         shifts=shifts,
         average_shift=average_shift,
         cancellation_gap=bias + average_shift,
-        w_perp=w_perp,
     )
 
 
@@ -134,12 +212,11 @@ def width_ordering_trial(
     ``(width_full, width_submodel)`` at level ``alpha``.
     """
     dataset, _ = draw_dataset(scenario, iid=True, rng=rng, n_train=n, n_test=0)
-    ones = np.ones((n, 1))
-    X = np.hstack([ones, dataset.X])
-    Z = X[:, :2]
-    x_bar = X.mean(axis=0)[None, :]
-    full = closed_form_scores(X, dataset.y, x_bar).scores
-    sub = closed_form_scores(Z, dataset.y, x_bar[:, :2]).scores
+    x_bar = dataset.X.mean(axis=0)[None, :]
+    full, sub = (
+        OlsLearner(FeatureMap(kind, dataset.dim)).loo_scores(dataset, x_bar)
+        for kind in ("linear", "first-only")
+    )
     lower, upper, _ = interval_from_scores(np.hstack([full, sub]), alpha)
     width_full, width_sub = (upper - lower).tolist()
     return width_full, width_sub

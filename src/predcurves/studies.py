@@ -22,8 +22,8 @@ from itertools import permutations
 import numpy as np
 from scipy.special import ndtr
 
+from .closed_form import FeatureMap, OlsLearner
 from .conformal import Dataset, curve_grid, interval_from_scores, require_loo_rows, two_sided_curve
-from .learners import FeatureMap, OlsLearner
 from .mlp import (
     OPT_MSE,
     SINGLE_RESTART,

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .closed_form import closed_form_scores
+from .closed_form import FeatureMap, FixedRuleLearner, OlsLearner, closed_form_scores
 from .conformal import Dataset, LooEnsemble, build_loo_ensemble, curve_grid
 from .gaussian_toy import GaussianToySample, predictive_curve_toy
-from .learners import FeatureMap, FixedRuleLearner, OlsLearner
 from .linalg import least_squares
 from .mlp import _forward, _gradients, _init_params, _sse
 from .quantiles import order_stat_index

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from predcurves.closed_form import closed_form_scores, homeostasis_report, width_ordering_trial
+from predcurves.closed_form import (
+    FeatureMap,
+    OlsLearner,
+    closed_form_scores,
+    homeostasis_report,
+    width_ordering_trial,
+)
 from predcurves.conformal import Dataset, build_loo_ensemble, interval_from_scores
-from predcurves.learners import FeatureMap, OlsLearner
 from predcurves.linalg import least_squares
 from predcurves.rng import RngStream
 from predcurves.scenarios import LinearScenario, draw_dataset
@@ -124,8 +129,6 @@ class TestHomeostasis:
         report = homeostasis_report(
             Z, W, np.array([1.0, -1.0, 2.0]), np.array([0.1, 0.2, 0.3])
         )
-        proj = Z @ np.linalg.inv(Z.T @ Z) @ Z.T
-        np.testing.assert_allclose(report.w_perp, W - proj @ W, atol=1e-10)
         np.testing.assert_allclose(report.cancellation_gap, report.bias + report.average_shift)
 
     @pytest.mark.parametrize("q,k", [(1, 1), (1, 2), (2, 1), (2, 2)])

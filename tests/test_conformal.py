@@ -11,7 +11,7 @@ from predcurves.conformal import (
     predictive_cdf,
     predictive_curve,
 )
-from predcurves.learners import FeatureMap, FixedRuleLearner, OlsLearner
+from predcurves.closed_form import FeatureMap, FixedRuleLearner, OlsLearner
 from predcurves.quantiles import order_stat_index
 from predcurves.rng import RngStream
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from predcurves.conformal import Dataset
-from predcurves.learners import FeatureMap, FixedRuleLearner, OlsLearner
+from predcurves.closed_form import FeatureMap, FixedRuleLearner, OlsLearner
 
 
 class TestFeatureMap:

@@ -6,7 +6,7 @@ import pytest
 
 from predcurves import studies
 from predcurves.conformal import Dataset
-from predcurves.learners import FeatureMap, FixedRuleLearner, OlsLearner
+from predcurves.closed_form import FeatureMap, FixedRuleLearner, OlsLearner
 from predcurves.mlp import MlpArchitecture, MlpLearner, TrainerConfig
 from predcurves.rng import RngStream
 from predcurves.scenarios import LinearScenario, NnScenario, draw_dataset
