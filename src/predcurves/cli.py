@@ -19,7 +19,8 @@ the ``FLAGS`` defaults; after the checks, ``SIZES`` fills the sizes still
 unset. Every data-producing command requires ``--seed``; outputs are then
 byte deterministic. Exit codes: 0 success, 1 verification or write
 failure, 2 usage error, an input the method cannot handle (any
-``ValueError``) or a size numpy cannot allocate (``MemoryError``).
+``ValueError``), a size numpy cannot allocate (``MemoryError``) or a
+training slice that failed in its forked child (``RuntimeError``).
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.out is None:
             sys.stdout.write(text)
         return 0
-    except (UsageError, ValueError, MemoryError) as exc:
+    except (UsageError, ValueError, MemoryError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from predcurves import cli
+from predcurves import cli, mlp
 from predcurves.cli import UsageError, main, parse_config
 from predcurves.emit import emit_curves, emit_results
 from predcurves.mlp import MlpLearner
@@ -192,6 +193,21 @@ class TestMainExitCodes:
         captured = capsys.readouterr()
         assert captured.err == "error: Unable to allocate 745. GiB for an array\n"
         assert captured.out == ""
+
+    def test_failed_training_slice_exits_2(self, monkeypatch, capsys):
+        parent, train_chunk = os.getpid(), mlp._train_chunk
+
+        def refuse_in_child(*args):
+            if os.getpid() != parent:
+                raise MemoryError("Unable to allocate 745. GiB for an array")
+            return train_chunk(*args)
+
+        monkeypatch.setattr(mlp, "_slice_count", lambda batch, work: min(batch, 2))
+        monkeypatch.setattr(mlp, "_train_chunk", refuse_in_child)
+        assert main("table3 --seed 1 --reps 1 --n-train 10 --depth 2 --restarts 1".split()) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: training slice 1 (networks ")
+        assert captured.err.endswith(" with exit code 1\n") and captured.out == ""
 
     def test_unwritable_path_exits_1(self, capsys):
         code = main(

@@ -8,9 +8,6 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = {path.stem for path in (ROOT / "src" / "predcurves").glob("*.py")} - {"__init__"}
 # Test files that check the whole program rather than one module.
 WHOLE_PROGRAM_TESTS = {"acceptance", "golden", "layout"}
-# Test files still named after a module that is gone. Moving one renames every
-# test id in it; the set may only shrink.
-UNMOVED_TESTS = {"learners", "sampling"}
 
 
 def test_layout_table_names_exactly_the_modules():
@@ -22,4 +19,4 @@ def test_layout_table_names_exactly_the_modules():
 
 def test_each_test_file_names_a_module():
     names = {path.stem.removeprefix("test_") for path in (ROOT / "tests").glob("test_*.py")}
-    assert names - MODULES - WHOLE_PROGRAM_TESTS == UNMOVED_TESTS
+    assert names - MODULES - WHOLE_PROGRAM_TESTS == set()
