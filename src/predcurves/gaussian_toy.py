@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .conformal import two_sided_curve
 
@@ -49,6 +48,8 @@ class GaussianToySample:
 
 def confidence_cdf(sample: GaussianToySample, theta):
     """``Phi(sqrt(n) (theta - ybar))``; scalar or array ``theta``."""
+    from scipy.special import ndtr  # here, so that importing this module loads no scipy
+
     return ndtr(np.sqrt(sample.n) * (theta - sample.ybar))
 
 
@@ -59,6 +60,8 @@ def confidence_curve(sample: GaussianToySample, theta):
 
 def predictive_cdf_toy(sample: GaussianToySample, y):
     """``Phi((y - ybar) / sqrt(1 + 1/n))``; scalar or array ``y``."""
+    from scipy.special import ndtr  # here, so that importing this module loads no scipy
+
     return ndtr((y - sample.ybar) / np.sqrt(1.0 + 1.0 / sample.n))
 
 

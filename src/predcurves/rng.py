@@ -49,3 +49,25 @@ def labeled_generator(seed: int, stream: int, label: str) -> np.random.Generator
     key = zlib.crc32(label.encode("utf-8"))
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+class LazyGenerator:
+    """``labeled_generator(seed, stream, label)``, made on first use.
+
+    For consumers that may never draw, such as the closed-form learners,
+    which then pay nothing for the ``SeedSequence`` and ``Philox`` set-up.
+    The first attribute access builds the generator and keeps it; every
+    access forwards to that one generator, so its stream runs on exactly
+    as a generator passed directly would.
+    """
+
+    __slots__ = ("_key", "_gen")
+
+    def __init__(self, seed: int, stream: int, label: str):
+        self._key = (seed, stream, label)
+        self._gen = None
+
+    def __getattr__(self, name: str):
+        if self._gen is None:
+            self._gen = labeled_generator(*self._key)
+        return getattr(self._gen, name)

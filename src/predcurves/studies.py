@@ -4,8 +4,10 @@ Repetition r of a study draws its data from ``RngStream(seed, r)``, so
 repetitions are independent, reproducible and schedule independent, and
 every learner at the same ``(seed, rep)`` sees the identical dataset:
 comparisons across learners are paired. Fitting randomness comes from
-``labeled_generator`` streams or ``spawn`` children, never from later
-draws on that stream. The coverage tables draw the training rows once
+``labeled_generator`` streams, made on a learner's first draw
+(``LazyGenerator``), or from ``spawn`` children, never from later draws
+on that stream; the closed-form learners never draw, so their streams
+are never made. The coverage tables draw the training rows once
 per repetition and every law's test rows with ``draw_test_laws``, so
 each learner is fitted once per repetition for all laws.
 
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.special import ndtr
 
 from .closed_form import FeatureMap, OlsLearner
 from .conformal import Dataset, curve_grid, interval_from_scores, require_loo_rows, two_sided_curve
@@ -31,7 +32,7 @@ from .mlp import (
     MlpLearner,
     TrainerConfig,
 )
-from .rng import RngStream, labeled_generator
+from .rng import LazyGenerator, RngStream
 from .scenarios import LinearScenario, NnScenario, draw_dataset, draw_test_laws
 
 
@@ -155,8 +156,9 @@ def run_studies(
         X_test = np.vstack([X for X, _ in tests])
         for s, spec in enumerate(specs):
             # data draws share the rep stream across learners (paired comparisons);
-            # fitting randomness is keyed by the learner label so learners stay independent
-            fit_gen = labeled_generator(seed, rep, spec.label)
+            # fitting randomness is keyed by the learner label so learners stay independent,
+            # and is set up only for a learner that draws from it
+            fit_gen = LazyGenerator(seed, rep, spec.label)
             scores = score_matrix(dataset, spec.learner, X_test, fit_gen)
             lower, upper, _ = interval_from_scores(scores, alpha)
             for k, (_, y_test) in enumerate(tests):
@@ -302,6 +304,8 @@ def oracle_curve_rows(mu_new: float, sigma: float, points: int) -> list[tuple[st
 
     The grid includes the peak location itself so the curve attains 1.
     """
+    from scipy.special import ndtr  # here, so that commands drawing no oracle curve load no scipy
+
     base = np.linspace(mu_new - 4.5 * sigma, mu_new + 4.5 * sigma, points)
     ys = np.union1d(base, [mu_new])
     pv = two_sided_curve(ndtr((ys - mu_new) / sigma))

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,3 +402,30 @@ class TestSmallTableRuns:
             assert 0.0 <= float(pv) <= 1.0
         for ys in by_label.values():
             assert all(b > a for a, b in zip(ys, ys[1:]))
+
+
+# Run in a fresh interpreter: which scipy modules are loaded after importing the CLI,
+# and after a closed-form table1 run through main; the table goes to a file.
+NO_SCIPY_PROBE = """
+import json, sys
+import predcurves.cli
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+at_import = scipy_modules()
+code = predcurves.cli.main(["table1", "--seed", "8", "--scale", "desk", "--out", sys.argv[1]])
+print(json.dumps({"import": at_import, "code": code, "table1": scipy_modules()}))
+"""
+
+
+def test_closed_form_commands_load_no_scipy(tmp_path):
+    # scipy's import is most of a closed-form command's start-up and ~23 MB of
+    # its memory; the package loads it only where a normal CDF is drawn
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = tmp_path / "table1.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PROBE, str(out)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"import": [], "code": 0, "table1": []}
+    assert len(out.read_text().splitlines()) == 9

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from predcurves import linalg
 from predcurves.linalg import least_squares, solve_upper
 
 
@@ -137,22 +140,67 @@ def test_non_finite_query_point_rejected(bad):
         fit.hat_cross_many(np.array([[1.0, 0.5, 2.0], [1.0, bad, 2.0]]))
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
+# How R reaches solve_upper: C- or Fortran-ordered, read-only, or a strided column slice.
+# from_buffer takes neither of the last two, so they are copied first, as scipy's wrapper copies them.
+R_FORMS = ["C", "F", "read-only", "column-slice"]
+
+
+def _as_form(r: np.ndarray, form: str) -> np.ndarray:
+    if form == "read-only":
+        r = np.asfortranarray(r)
+        r.flags.writeable = False
+        return r
+    if form == "column-slice":
+        wide = np.zeros((r.shape[0], 2 * r.shape[1]))
+        wide[:, ::2] = r
+        return wide[:, ::2]
+    return np.asarray(r, order=form)
+
+
+# scipy's wrapper of dtrtrs, the binding solve_upper falls back to
+SCIPY_DTRTRS = linalg._scipy_dtrtrs()[0]
+
+
+@pytest.mark.parametrize("order", R_FORMS)
 @pytest.mark.parametrize("trans", ["N", "T"])
 @pytest.mark.parametrize("rhs_shape", [(4,), (4, 3)], ids=["1-d", "2-d"])
-def test_solve_upper_matches_scipy_bit_for_bit(order, trans, rhs_shape):
+def test_solve_upper_matches_scipy_bit_for_bit(order, trans, rhs_shape, monkeypatch):
+    # the live dtrtrs is the OpenBLAS numpy bundles, wherever numpy bundles one
+    bundled = sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    assert linalg.DTRTRS_LIBRARY == (str(bundled[0]) if bundled else "scipy")
     gen = np.random.default_rng(41)
-    _, r = np.linalg.qr(gen.standard_normal((30, 4)))
-    r = np.asarray(r, order=order)
-    b = gen.standard_normal(rhs_shape)
-    x = solve_upper(r, b, trans=trans == "T")
-    assert x.shape == rhs_shape
-    np.testing.assert_array_equal(x, scipy.linalg.solve_triangular(r, b, trans=trans))
+    systems = []
+    for p in [4, *gen.integers(1, 6, 24)]:
+        _, r = np.linalg.qr(gen.standard_normal((30, p)))
+        systems.append((_as_form(r, order), gen.standard_normal((p, *rhs_shape[1:]))))
+    solutions = []
+    for r, b in systems:
+        r_before, b_before = r.copy(), b.copy()
+        x = solve_upper(r, b, trans=trans == "T")
+        assert x.shape == b.shape
+        np.testing.assert_array_equal(x, scipy.linalg.solve_triangular(r, b, trans=trans))
+        np.testing.assert_array_equal(r, r_before)
+        np.testing.assert_array_equal(b, b_before)
+        solutions.append(x)
+    # the fallback binding, through the same solve_upper, on the same systems
+    monkeypatch.setattr(linalg, "_dtrtrs", SCIPY_DTRTRS)
+    for (r, b), x in zip(systems, solutions):
+        np.testing.assert_array_equal(solve_upper(r, b, trans=trans == "T"), x)
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_solve_upper_zero_diagonal_raises(order):
-    r = np.asarray(np.triu(np.ones((3, 3))), order=order)
+@pytest.mark.parametrize("order", R_FORMS)
+def test_solve_upper_zero_diagonal_raises(order, monkeypatch):
+    r = np.triu(np.ones((3, 3)))
     r[1, 1] = 0.0
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        solve_upper(r, np.ones(3))
+    r = _as_form(r, order)
+    for binding in (linalg._dtrtrs, SCIPY_DTRTRS):
+        monkeypatch.setattr(linalg, "_dtrtrs", binding)
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix: zero at diagonal 1$"):
+            solve_upper(r, np.ones(3))
+
+
+@pytest.mark.parametrize("r_shape, b_shape", [((3, 3), (4,)), ((3, 4), (3,)), ((3,), (3,))])
+def test_solve_upper_rejects_mismatched_shapes(r_shape, b_shape):
+    # dtrtrs reads n x n entries of R and n rows of b, wherever they end
+    with pytest.raises(ValueError, match="cannot solve"):
+        solve_upper(np.ones(r_shape), np.ones(b_shape))

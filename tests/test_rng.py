@@ -1,6 +1,7 @@
 import numpy as np
 
-from predcurves.rng import RngStream, labeled_generator
+from predcurves import rng
+from predcurves.rng import LazyGenerator, RngStream, labeled_generator
 from predcurves.scenarios import cholesky_t, sample_mvn
 
 
@@ -27,3 +28,13 @@ class TestRngStream:
         c = labeled_generator(5, 3, "mu3").standard_normal(4)
         np.testing.assert_array_equal(a, b)
         assert not np.allclose(a, c)
+
+    def test_lazy_generator_is_made_once_on_first_use(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(rng, "labeled_generator", lambda *key: made.append(key) or labeled_generator(*key))
+        lazy = LazyGenerator(5, 3, "mu2")
+        assert made == []
+        # draws continue one stream: a generator rebuilt per access would replay it
+        draws = np.concatenate([lazy.standard_normal(2), lazy.standard_normal(2)])
+        assert made == [(5, 3, "mu2")]
+        np.testing.assert_array_equal(draws, labeled_generator(5, 3, "mu2").standard_normal(4))
