@@ -16,7 +16,12 @@ tests rather than assumed.
 
 The least-squares learners over fixed feature maps, and the fixed-rule
 learner that stress-tests the coverage guarantee, score through this
-formula here, without drawing from ``rng``.
+formula here, without drawing from ``rng``. Like ``linalg``, the formula
+and both learners take one repetition or a stack of R: a design ``X``
+(n, p), responses ``y`` (n,) and test rows (m, p) give (n, m) scores, and
+(R, n, p), (R, n) and (R, m, p) give (R, n, m), each repetition's scores
+equal to the bit to those it gets alone. A coverage study scores a block
+of repetitions per least-squares fit this way.
 
 This module also quantifies the bias/shift bookkeeping behind interval
 validity under a wrong submodel: dropping covariates biases the point
@@ -43,7 +48,11 @@ FEATURE_KINDS = ("linear", "first-only", "first-squared", "intercept")
 
 @dataclass(frozen=True)
 class ClosedFormScores:
-    """Conformal scores of a least-squares learner: (n, m) for m test rows."""
+    """Conformal scores of a least-squares learner: (..., n, m) for m test rows.
+
+    ``beta_hat`` is (..., p), ``deleted_residuals`` (..., n),
+    ``leverage_cross`` (..., n, m) and ``point_prediction`` (..., m).
+    """
 
     beta_hat: np.ndarray
     deleted_residuals: np.ndarray
@@ -69,20 +78,21 @@ class HomeostasisReport:
 
 
 def closed_form_scores(X: np.ndarray, y: np.ndarray, X_new: np.ndarray) -> ClosedFormScores:
-    """Jackknife-plus scores on design ``X`` at the (m, p) test rows ``X_new``."""
+    """Jackknife-plus scores on design ``X`` (..., n, p) at the (..., m, p) test rows ``X_new``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     X_new = np.asarray(X_new, dtype=float)
     fit = least_squares(X, y)
-    u = (y - X @ fit.beta) / (1.0 - fit.hat_diag())
+    beta = fit.beta[..., None]
+    u = (y - (X @ beta)[..., 0]) / (1.0 - fit.hat_diag())
     cross = fit.hat_cross_many(X_new)
-    pred = X_new @ fit.beta
+    pred = (X_new @ beta)[..., 0]
     return ClosedFormScores(
         beta_hat=fit.beta,
         deleted_residuals=u,
         leverage_cross=cross,
         point_prediction=pred,
-        scores=pred[None, :] + (1.0 - cross) * u[:, None],
+        scores=pred[..., None, :] + (1.0 - cross) * u[..., :, None],
     )
 
 
@@ -95,6 +105,8 @@ class FeatureMap:
         ``first-only``     -> (1, x_1)
         ``first-squared``  -> (1, x_1^2)
         ``intercept``      -> (1,)
+
+    ``expand_matrix`` maps covariate rows (..., n, d) to (..., n, p).
     """
 
     kind: str
@@ -108,15 +120,15 @@ class FeatureMap:
 
     def expand_matrix(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
+        if X.ndim < 2 or X.shape[-1] != self.input_dim:
             raise ValueError(f"expected covariates of dimension {self.input_dim}, got shape {X.shape}")
-        ones = np.ones((X.shape[0], 1))
+        ones = np.ones((*X.shape[:-1], 1))
         if self.kind == "linear":
-            return np.hstack([ones, X])
+            return np.concatenate([ones, X], axis=-1)
         if self.kind == "first-only":
-            return np.hstack([ones, X[:, :1]])
+            return np.concatenate([ones, X[..., :1]], axis=-1)
         if self.kind == "first-squared":
-            return np.hstack([ones, X[:, :1] ** 2])
+            return np.concatenate([ones, X[..., :1] ** 2], axis=-1)
         return ones
 
 
@@ -161,7 +173,7 @@ class FixedRuleLearner:
     def loo_scores(self, dataset: Dataset, X_test: np.ndarray, rng=None) -> np.ndarray:
         """Every fold is the same model, so ``s_ij = c x_j0 + (y_i - c x_i0)``; rng unused."""
         c = self.scale
-        return c * X_test[:, 0][None, :] + (dataset.y - c * dataset.X[:, 0])[:, None]
+        return c * X_test[..., None, :, 0] + (dataset.y - c * dataset.X[..., 0])[..., :, None]
 
 
 def homeostasis_report(

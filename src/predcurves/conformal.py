@@ -30,7 +30,11 @@ from .quantiles import check_two_sided_alpha, level_rank, order_stat_index
 
 @dataclass(frozen=True)
 class Dataset:
-    """Training sample: covariate rows ``X`` (n, d) and responses ``y`` (n,)."""
+    """Training sample: covariate rows ``X`` (n, d) and responses ``y`` (n,).
+
+    R repetitions' samples of one size stack as ``X`` (R, n, d) and ``y``
+    (R, n); ``n`` and ``dim`` are then each repetition's.
+    """
 
     X: np.ndarray
     y: np.ndarray
@@ -38,9 +42,9 @@ class Dataset:
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        if X.ndim < 2 or X.shape[:-1] != y.shape:
             raise ValueError("X must be (n, d) and y (n,) with matching n")
-        if X.shape[0] < 2:
+        if X.shape[-2] < 2:
             raise ValueError("need at least 2 rows")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise ValueError("dataset entries must be finite")
@@ -49,13 +53,14 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.X.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.X.shape[1]
+        return self.X.shape[-1]
 
     def drop_row(self, i: int) -> "Dataset":
+        """The sample without row i; one repetition's sample only."""
         return Dataset(np.delete(self.X, i, axis=0), np.delete(self.y, i))
 
 
@@ -140,18 +145,21 @@ def interval_from_scores(
 ) -> tuple[float | np.ndarray, float | np.ndarray, bool]:
     """Two-sided intervals ``(lower, upper, clamped)`` from the score order statistics.
 
-    ``scores`` is (n,) for one test point or (n, m) with one column per
-    test point; ``lower`` and ``upper`` are then scalars or (m,) arrays.
-    The endpoints are the ``alpha/2`` and ``1 - alpha/2`` quantiles of each
-    column. When ``level_rank(n, alpha / 2) < 1`` they clamp to the
-    extreme order statistics and ``clamped`` is set; the coverage
-    guarantee is unaffected (the interval only widens).
+    ``scores`` is (n,) for one test point, (n, m) with one column per
+    test point, or (R, n, m) for R repetitions; ``lower`` and ``upper`` are
+    then scalars, (m,) or (R, m) arrays. The endpoints are the ``alpha/2``
+    and ``1 - alpha/2`` quantiles of each column. When
+    ``level_rank(n, alpha / 2) < 1`` they clamp to the extreme order
+    statistics and ``clamped`` is set; the coverage guarantee is
+    unaffected (the interval only widens).
     """
     check_two_sided_alpha(alpha)
-    s = np.sort(np.asarray(scores, dtype=float), axis=0)
-    n = s.shape[0]
-    lower = s[order_stat_index(n, alpha / 2.0) - 1]
-    upper = s[order_stat_index(n, 1.0 - alpha / 2.0) - 1]
+    scores = np.asarray(scores, dtype=float)
+    axis = 0 if scores.ndim == 1 else -2
+    s = np.sort(scores, axis=axis)
+    n = s.shape[axis]
+    lower = np.take(s, order_stat_index(n, alpha / 2.0) - 1, axis=axis)
+    upper = np.take(s, order_stat_index(n, 1.0 - alpha / 2.0) - 1, axis=axis)
     return lower, upper, level_rank(n, alpha / 2.0) < 1.0
 
 

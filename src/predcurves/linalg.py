@@ -12,6 +12,14 @@ For a full-rank design ``X`` with reduced QR factorization ``X = QR``:
 Both identities follow from ``(X^T X)^{-1} = R^{-1} R^{-T}`` and
 ``x_i = R^T Q[i, :]^T``.
 
+A fit takes one design, ``X`` (n, p) and ``y`` (n,), or a stack of R
+designs, ``X`` (R, n, p) and ``y`` (R, n): every result then gains the
+leading axis. numpy's QR, SVD, ``einsum`` and ``matmul`` run the same
+LAPACK/BLAS call on each matrix of a stack as on that matrix alone, and
+every triangular solve is still made one matrix at a time, so a stacked
+fit equals its repetitions fitted one by one, to the bit. The stack only
+saves the per-call overhead, which dominates at these sizes.
+
 Every triangular solve goes through ``solve_upper``, which calls LAPACK's
 ``dtrtrs`` directly: on these p x p systems ``scipy.linalg.solve_triangular``
 spends ~25 us per call in argument handling around a ~1 us kernel.
@@ -122,47 +130,62 @@ def solve_upper(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray
 
 @dataclass(frozen=True)
 class LeastSquaresFit:
-    """QR-backed least-squares solution, reusable for hat-value queries."""
+    """QR-backed least-squares solution, reusable for hat-value queries.
+
+    ``beta`` is (..., p), ``q`` (..., n, p) and ``r`` (..., p, p), where
+    ``...`` is empty for one design and (R,) for a stack of R designs.
+    """
 
     beta: np.ndarray
     q: np.ndarray
     r: np.ndarray
 
     def hat_diag(self) -> np.ndarray:
-        """Diagonal of the projection matrix; errors on leverage-one points."""
-        diag = np.einsum("ij,ij->i", self.q, self.q)
+        """Diagonal of each projection matrix, (..., n); errors on a leverage-one point in any design."""
+        diag = np.einsum("...ij,...ij->...i", self.q, self.q)
         if np.any(diag >= 1.0 - LEVERAGE_TOL):
             raise ValueError("leverage-one point")
         return diag
 
     def hat_cross_many(self, X_s: np.ndarray) -> np.ndarray:
-        """Cross leverages ``h_{i,s}`` for the m query rows of ``X_s``; shape (n, m).
+        """Cross leverages ``h_{i,s}`` for the m query rows of ``X_s`` (..., m, p); shape (..., n, m).
 
-        One triangular solve per point: OpenBLAS runs a solve with several
-        right-hand sides on its thread pool, which for these p x p systems
-        costs about ten times as much as single-column solves and keeps a
-        second core busy while a study runs.
+        One triangular solve per point and design: OpenBLAS runs a solve
+        with several right-hand sides on its thread pool, which for these
+        p x p systems costs about ten times as much as single-column solves
+        and keeps a second core busy while a study runs.
         """
         X_s = np.asarray(X_s, dtype=float)
-        T = np.empty((self.r.shape[0], X_s.shape[0]))
-        for j, x_s in enumerate(X_s):
-            T[:, j] = solve_upper(self.r, x_s, trans=True)
+        stacked = self.r.shape[:-2]
+        if X_s.shape[:-2] != stacked:
+            raise ValueError(f"query rows of shape {X_s.shape} for designs stacked as {stacked}")
+        T = np.empty((*stacked, self.r.shape[-1], X_s.shape[-2]))
+        for k in np.ndindex(stacked):
+            for j, x_s in enumerate(X_s[k]):
+                T[k][:, j] = solve_upper(self.r[k], x_s, trans=True)
         return self.q @ T
 
 
 def least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
-    """Fit ``min ||y - X beta||^2`` via QR with a condition-number guard."""
+    """Fit ``min ||y - X beta||^2`` via QR with a condition-number guard, for one design or a stack.
+
+    Every design of a stack is checked for rank before any is solved;
+    one rank-deficient design fails the whole stack.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+    if X.ndim < 2 or X.shape[:-1] != y.shape:
         raise ValueError("X must be (n, p) and y (n,) with matching n")
-    n, p = X.shape
+    n, p = X.shape[-2:]
     if n < p:
         raise ValueError("rank-deficient design")
     q, r = np.linalg.qr(X)
     sv = np.linalg.svd(r, compute_uv=False)
-    if sv[-1] <= 0.0 or sv[0] / sv[-1] > CONDITION_LIMIT:
+    smallest = sv[..., -1]
+    if (smallest <= 0.0).any() or (sv[..., 0] / smallest > CONDITION_LIMIT).any():
         raise ValueError("rank-deficient design")
-    beta = solve_upper(r, q.T @ y)
+    qty = (q.mT @ y[..., None])[..., 0]
+    beta = np.empty(qty.shape)
+    for k in np.ndindex(X.shape[:-2]):
+        beta[k] = solve_upper(r[k], qty[k])
     return LeastSquaresFit(beta=beta, q=q, r=r)
-

@@ -444,8 +444,18 @@ class MlpLearner:
     def fit(self, dataset: Dataset, rng: np.random.Generator) -> MlpModel:
         return self._fit(dataset, rng, np.ones((1, dataset.n)))[0]
 
-    def loo_scores(self, dataset: Dataset, X_test: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        # its n folds are different networks: train them as one batch (``fit_loo``), predict with each
+    def loo_scores(self, dataset: Dataset, X_test: np.ndarray, rng) -> np.ndarray:
+        """(n, m) scores; for R stacked repetitions (R, n, m), with ``rng`` one generator per repetition.
+
+        The n folds are different networks: they train as one batch
+        (``fit_loo``) and each predicts. Stacked repetitions train one
+        after another, each fit costing far more than a call.
+        """
+        if dataset.X.ndim == 3:
+            return np.stack([
+                self.loo_scores(Dataset(X, y), X_rows, gen)
+                for X, y, X_rows, gen in zip(dataset.X, dataset.y, X_test, rng, strict=True)
+            ])
         return build_loo_ensemble(dataset, self, rng).scores(X_test)
 
     def fit_loo(self, dataset: Dataset, rng: np.random.Generator) -> list[MlpModel]:

@@ -13,7 +13,13 @@ each learner is fitted once per repetition for all laws.
 
 Every learner scores its own leave-one-out folds (``loo_scores``):
 least squares and the fixed rule in closed form, networks through the
-batched leave-one-out ensemble.
+batched leave-one-out ensemble. ``run_studies`` draws a block of
+``REPETITION_BLOCK`` repetitions, each from its own stream as above, and
+asks each learner once for the block's scores: a least-squares learner
+makes one stacked fit of the block's (R, n, p) designs, a network trains
+each repetition in turn. Stacking saves numpy's per-call overhead and
+moves no bit; the block bounds the memory a study holds, however many
+repetitions it runs.
 """
 
 from __future__ import annotations
@@ -34,6 +40,10 @@ from .mlp import (
 )
 from .rng import LazyGenerator, RngStream
 from .scenarios import LinearScenario, NnScenario, draw_dataset, draw_test_laws
+
+# repetitions scored together: ``ols-coverage``'s 20 are one block, a paper
+# ``table1`` (200) takes seven, and memory stays flat in the repetition count
+REPETITION_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -116,11 +126,15 @@ def nn_learner_specs(
 def score_matrix(dataset: Dataset, learner, X_test: np.ndarray, gen) -> np.ndarray:
     """Conformal scores for every test row; shape (n_train, n_test).
 
-    Checks the training and test rows, then asks the learner for its scores.
+    ``dataset`` may stack R repetitions, with ``X_test`` (R, m, d) and
+    ``gen`` one generator per repetition; the scores are then (R, n, m).
+    Checks the training and test rows of every repetition, then asks the
+    learner for its scores.
     """
     require_loo_rows(dataset)
     X_test = np.asarray(X_test, dtype=float)
-    if X_test.ndim != 2 or X_test.shape[1] != dataset.dim:
+    stacked = dataset.X.shape[:-2]
+    if X_test.ndim != dataset.X.ndim or X_test.shape[:-2] != stacked or X_test.shape[-1] != dataset.dim:
         raise ValueError(f"test rows must be an (m, {dataset.dim}) matrix, not {X_test.shape}")
     if not np.all(np.isfinite(X_test)):
         raise ValueError("test rows must be finite")
@@ -144,29 +158,42 @@ def run_studies(
 
     Neither the training rows nor the fitting stream depends on the law,
     so each learner is fitted once per repetition and scored on the test
-    rows of all laws together. Rows are ordered by law, then by learner.
+    rows of all laws together. The repetitions run in blocks of
+    ``REPETITION_BLOCK``: a block's data are drawn first, repetition by
+    repetition, then each learner scores the whole block in one call
+    (``score_matrix`` on the stacked rows), which checks every
+    repetition's rows before any fit. Rows are ordered by law, then by
+    learner.
     """
     m = test_points_per_rep
     hits = [[0] * len(specs) for _ in laws]
     width_total = [[0.0] * len(specs) for _ in laws]
-    for rep in range(reps):
-        gen = RngStream(seed, rep).generator()
-        dataset, _ = draw_dataset(scenario, True, gen, n_train, 0)
-        tests = draw_test_laws(scenario, laws, gen, m)
-        X_test = np.vstack([X for X, _ in tests])
+    for start in range(0, reps, REPETITION_BLOCK):
+        block = range(start, min(start + REPETITION_BLOCK, reps))
+        datasets, X_tests, y_tests = [], [], []
+        for rep in block:
+            gen = RngStream(seed, rep).generator()
+            dataset, _ = draw_dataset(scenario, True, gen, n_train, 0)
+            tests = draw_test_laws(scenario, laws, gen, m)
+            datasets.append(dataset)
+            X_tests.append(np.vstack([X for X, _ in tests]))
+            y_tests.append(np.concatenate([y for _, y in tests]))
+        data = Dataset(np.stack([d.X for d in datasets]), np.stack([d.y for d in datasets]))
+        X_test, y_test = np.stack(X_tests), np.stack(y_tests)
         for s, spec in enumerate(specs):
             # data draws share the rep stream across learners (paired comparisons);
             # fitting randomness is keyed by the learner label so learners stay independent,
             # and is set up only for a learner that draws from it
-            fit_gen = LazyGenerator(seed, rep, spec.label)
-            scores = score_matrix(dataset, spec.learner, X_test, fit_gen)
+            fit_gens = [LazyGenerator(seed, rep, spec.label) for rep in block]
+            scores = score_matrix(data, spec.learner, X_test, fit_gens)
             lower, upper, _ = interval_from_scores(scores, alpha)
-            for k, (_, y_test) in enumerate(tests):
+            inside = (lower <= y_test) & (y_test <= upper)
+            widths = upper - lower
+            for k in range(len(laws)):
                 cols = slice(k * m, (k + 1) * m)
-                inside = (lower[cols] <= y_test) & (y_test <= upper[cols])
-                hits[k][s] += int(inside.sum())
-                # left to right: np.sum adds pairwise and could move the last bit
-                for width in (upper[cols] - lower[cols]).tolist():
+                hits[k][s] += int(inside[:, cols].sum())
+                # left to right in repetition order: np.sum adds pairwise and could move the last bit
+                for width in widths[:, cols].ravel().tolist():
                     width_total[k][s] += width
     evaluations = reps * m
     return [

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 from predcurves.closed_form import (
+    FEATURE_KINDS,
     FeatureMap,
     FixedRuleLearner,
     OlsLearner,
@@ -325,3 +326,51 @@ class TestFixedRuleLearners:
         X_test = np.array([[2.0, 1.0], [-1.0, 0.0]])
         scores = FixedRuleLearner(-1000.0).loo_scores(dataset, X_test)
         np.testing.assert_array_equal(scores, [[-1499.0, 1501.0], [-2248.0, 752.0], [-1997.0, 1003.0]])
+
+
+def _scores_or_error(learner, dataset, X_test):
+    try:
+        return learner.loo_scores(dataset, X_test)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestStackedRepetitions:
+    """A stack of R repetitions scores each repetition as it is scored alone, to the bit."""
+
+    @pytest.mark.parametrize(
+        "learner",
+        [OlsLearner(FeatureMap(kind, input_dim=2)) for kind in FEATURE_KINDS] + [FixedRuleLearner(-3.0)],
+        ids=[*FEATURE_KINDS, "fixed-rule"],
+    )
+    @pytest.mark.parametrize("n", [3, 30, 300])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("reps", [1, 2, 7])
+    def test_stacked_scores_equal_each_repetition_alone(self, learner, n, m, reps):
+        draws = [draw_dataset(LinearScenario(), False, RngStream(n + m, rep).generator(), n, m) for rep in range(reps)]
+        alone = [_scores_or_error(learner, dataset, X_test) for dataset, (X_test, _) in draws]
+        stacked = _scores_or_error(
+            learner,
+            Dataset(np.stack([d.X for d, _ in draws]), np.stack([d.y for d, _ in draws])),
+            np.stack([X_test for _, (X_test, _) in draws]),
+        )
+        if isinstance(stacked, str):
+            # n = 3 rows under the three-column linear design: every row has leverage one
+            assert stacked == "leverage-one point" and alone == [stacked] * reps
+            return
+        assert stacked.shape == (reps, n, m)
+        for r, scores in enumerate(alone):
+            assert stacked[r].tobytes() == scores.tobytes(), f"repetition {r}"
+
+    def test_stacked_fit_equals_each_fit_alone(self):
+        gen = np.random.default_rng(5)
+        X, y, X_s = gen.standard_normal((4, 40, 3)), gen.standard_normal((4, 40)), gen.standard_normal((4, 2, 3))
+        fit = least_squares(X, y)
+        cross, diag = fit.hat_cross_many(X_s), fit.hat_diag()
+        for r in range(4):
+            alone = least_squares(X[r], y[r])
+            for got, want in [(fit.beta[r], alone.beta), (fit.q[r], alone.q), (fit.r[r], alone.r),
+                              (diag[r], alone.hat_diag()), (cross[r], alone.hat_cross_many(X_s[r]))]:
+                assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="for designs stacked as"):
+            fit.hat_cross_many(X_s[0])

@@ -1,10 +1,14 @@
+import hashlib
 import inspect
+import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from predcurves import studies
+from predcurves import closed_form, studies
+from predcurves.cli import main
 from predcurves.conformal import Dataset
 from predcurves.closed_form import FeatureMap, FixedRuleLearner, OlsLearner
 from predcurves.mlp import MlpArchitecture, MlpLearner, TrainerConfig
@@ -231,6 +235,99 @@ class TestTablesShareFitsAcrossLaws:
         learner = OlsLearner(FeatureMap("intercept", input_dim=scenario.cov_x.shape[0]))
         run_studies(scenario, [LearnerSpec("mu", "ols", learner)], 0.2, 3, 2, 0, (True, False), 10)
         assert len(calls) == 3
+
+
+class TestRepetitionBlocks:
+    """``run_studies`` scores a block of repetitions per call; the block size moves no byte."""
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_block_size_moves_no_byte(self, block, monkeypatch, capsys):
+        command = "table1 --scale desk --seed 0"  # 50 repetitions
+        manifest = json.loads((Path(__file__).with_name("byte_manifest.json")).read_text())
+        monkeypatch.setattr(studies, "REPETITION_BLOCK", block)
+        assert main(command.split()) == 0
+        assert hashlib.md5(capsys.readouterr().out.encode("utf-8")).hexdigest() == manifest[command]
+
+    def test_one_least_squares_fit_per_learner_and_block(self, monkeypatch):
+        calls = []
+        fit = closed_form.least_squares
+
+        def counted(X, y):
+            calls.append(X.shape)
+            return fit(X, y)
+
+        monkeypatch.setattr(closed_form, "least_squares", counted)
+        run_table_linear(seed=2, n_train=30, reps=20)
+        assert studies.REPETITION_BLOCK >= 20
+        assert calls == [(20, 30, p) for p in (3, 2, 2, 1)]
+
+    @staticmethod
+    def _doctor(monkeypatch, rep, train=None, test=None):
+        """Pass repetition ``rep``'s training covariates through ``train`` and its test rows through ``test``."""
+        draw, draw_laws, seen = studies.draw_dataset, studies.draw_test_laws, []
+
+        def draw_dataset(*args):
+            dataset, pairs = draw(*args)
+            seen.append(len(seen))
+            if train is not None and seen[-1] == rep:
+                dataset = Dataset(train(dataset.X), dataset.y)
+            return dataset, pairs
+
+        def draw_test_laws(*args):
+            pairs = draw_laws(*args)
+            if test is not None and seen[-1] == rep:
+                pairs = [(test(X), y) for X, y in pairs]
+            return pairs
+
+        monkeypatch.setattr(studies, "draw_dataset", draw_dataset)
+        monkeypatch.setattr(studies, "draw_test_laws", draw_test_laws)
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "train, message",
+        [
+            (lambda X: np.column_stack([X[:, 0], np.arange(X.shape[0]) == 4]), "leverage-one point"),
+            (lambda X: np.column_stack([X[:, 0], np.zeros(X.shape[0])]), "rank-deficient design"),
+        ],
+        ids=["leverage-one", "rank-deficient"],
+    )
+    def test_a_later_repetition_fails_its_block_as_it_fails_alone(self, block, train, message, monkeypatch):
+        # only repetition 3 of 5 is faulty: mu0's second covariate picks out row 4, or is zero;
+        # in blocks of 1 it fails alone, in blocks of 2 and 5 as the second and the fourth
+        monkeypatch.setattr(studies, "REPETITION_BLOCK", block)
+        self._doctor(monkeypatch, 3, train=train)
+        with pytest.raises(ValueError) as caught:
+            run_table_linear(seed=6, n_train=20, reps=5)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "n_train, test, message",
+        [
+            (2, None, "at least 3 training rows"),
+            (20, lambda X: np.where(np.arange(X.shape[0])[:, None] == 0, np.nan, X), "test rows must be finite"),
+            (20, lambda X: np.full_like(X, np.inf), "test rows must be finite"),
+        ],
+        ids=["two-rows", "nan-test-row", "inf-test-rows"],
+    )
+    def test_input_checks_run_before_any_stacked_fit(self, n_train, test, message, monkeypatch):
+        fits = []
+        monkeypatch.setattr(closed_form, "least_squares", lambda *args: fits.append(args))
+        self._doctor(monkeypatch, 3, test=test)
+        with pytest.raises(ValueError, match=message):
+            run_table_linear(seed=6, n_train=n_train, reps=5)
+        assert fits == []
+
+    @SCORING_PATHS
+    def test_score_matrix_stacks_every_path(self, learner):
+        draws = [draw_dataset(LinearScenario(), True, RngStream(7, rep).generator(), 12, 3) for rep in range(3)]
+        data = Dataset(np.stack([d.X for d, _ in draws]), np.stack([d.y for d, _ in draws]))
+        X_test = np.stack([X for _, (X, _) in draws])
+        stacked = score_matrix(data, learner, X_test, [RngStream(8, rep).generator() for rep in range(3)])
+        for rep, (dataset, (X, _)) in enumerate(draws):
+            alone = score_matrix(dataset, learner, X, RngStream(8, rep).generator())
+            assert stacked[rep].tobytes() == alone.tobytes()
+        with pytest.raises(ValueError, match=r"must be an \(m, 2\) matrix"):
+            score_matrix(data, learner, X_test[:2], None)
 
 
 class TestTrainingSizeIsTheArgument:
