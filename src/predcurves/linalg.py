@@ -184,7 +184,7 @@ def least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
     smallest = sv[..., -1]
     if (smallest <= 0.0).any() or (sv[..., 0] / smallest > CONDITION_LIMIT).any():
         raise ValueError("rank-deficient design")
-    qty = (q.mT @ y[..., None])[..., 0]
+    qty = (np.swapaxes(q, -1, -2) @ y[..., None])[..., 0]
     beta = np.empty(qty.shape)
     for k in np.ndindex(X.shape[:-2]):
         beta[k] = solve_upper(r[k], qty[k])
