@@ -231,11 +231,11 @@ def _run_curves(cfg: argparse.Namespace) -> str:
     else:
         scenario = NnScenario()
         specs = nn_learner_specs(cfg.deep_depths, TrainerConfig(cfg.restarts))
-    rows = export_curves(
+    curves = export_curves(
         scenario, specs, x_new=cfg.x_new, grid_points=cfg.grid_points, seed=cfg.seed,
         n_train=cfg.n_train,
     )
-    return emit_curves(rows, cfg.out)
+    return emit_curves(curves, cfg.out)
 
 
 def _run_toy_curves(cfg: argparse.Namespace) -> str:
@@ -245,9 +245,11 @@ def _run_toy_curves(cfg: argparse.Namespace) -> str:
     half_pred = 4.0 * np.sqrt(1.0 + 1.0 / sample.n)
     thetas = np.linspace(sample.ybar - half_conf, sample.ybar + half_conf, cfg.grid_points)
     ys = np.linspace(sample.ybar - half_pred, sample.ybar + half_pred, cfg.grid_points)
-    rows = [("confidence-curve", *row) for row in zip(thetas, confidence_curve(sample, thetas))]
-    rows += [("predictive-curve", *row) for row in zip(ys, predictive_curve_toy(sample, ys))]
-    return emit_curves(rows, cfg.out)
+    curves = [
+        ("confidence-curve", thetas, confidence_curve(sample, thetas)),
+        ("predictive-curve", ys, predictive_curve_toy(sample, ys)),
+    ]
+    return emit_curves(curves, cfg.out)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -168,7 +168,9 @@ def curve_grid(scores: np.ndarray, points: int) -> np.ndarray:
 
     The grid spans the score range padded by 10 percent on each side and
     additionally evaluates just below, at, and just above every score so
-    the steps are captured exactly.
+    the steps are captured exactly. Returns a (k, 2) array whose ys are
+    strictly increasing; ``perfbench``'s tracer counts its ``len`` as
+    ``conformal.curve_grid.points``, so the shape stays.
     """
     if points < 2:
         raise ValueError("points must be at least 2")

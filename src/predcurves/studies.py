@@ -326,17 +326,17 @@ def run_param_mse_study(
     return {est: total / reps for est, total in sums.items()}
 
 
-def oracle_curve_rows(mu_new: float, sigma: float, points: int) -> list[tuple[str, float, float]]:
-    """Curve of the true response law ``N(mu_new, sigma^2)``.
+def oracle_curve(mu_new: float, sigma: float, points: int) -> tuple[str, np.ndarray, np.ndarray]:
+    """Curve block ``("oracle", ys, pv)`` of the true response law ``N(mu_new, sigma^2)``.
 
-    The grid includes the peak location itself so the curve attains 1.
+    ``ys`` is strictly increasing and includes the peak location itself,
+    so the curve attains 1.
     """
     from scipy.special import ndtr  # here, so that commands drawing no oracle curve load no scipy
 
     base = np.linspace(mu_new - 4.5 * sigma, mu_new + 4.5 * sigma, points)
     ys = np.union1d(base, [mu_new])
-    pv = two_sided_curve(ndtr((ys - mu_new) / sigma))
-    return [("oracle", float(y), float(p)) for y, p in zip(ys, pv)]
+    return "oracle", ys, two_sided_curve(ndtr((ys - mu_new) / sigma))
 
 
 # the named test covariates of ``export_curves``
@@ -350,8 +350,12 @@ def export_curves(
     grid_points: int,
     seed: int,
     n_train: int,
-) -> list[tuple[str, float, float]]:
-    """Predictive-curve rows ``(label, y, pv)`` for each learner plus the oracle.
+) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """Predictive-curve blocks ``(label, ys, pv)``: one per learner in ``specs`` order, then the oracle's.
+
+    A learner's ``ys`` and ``pv`` are the two columns of its ``curve_grid``,
+    so its ``ys`` are strictly increasing; the oracle's block is
+    ``oracle_curve``'s. ``emit_curves`` writes the blocks as rows.
 
     ``x_new`` selects the test covariate: ``"sample-mean"`` uses the mean
     of the generated training covariates, ``"iid-draw"`` / ``"non-iid-draw"``
@@ -368,12 +372,12 @@ def export_curves(
     else:
         point = np.asarray(x_new, dtype=float)
 
-    rows: list[tuple[str, float, float]] = []
+    curves = []
     fit_streams = gen.spawn(len(specs))
     for spec, sub in zip(specs, fit_streams):
         scores = score_matrix(dataset, spec.learner, point[None, :], sub)[:, 0]
         grid = curve_grid(scores, grid_points)
-        rows.extend((spec.label, y, pv) for y, pv in grid.tolist())
+        curves.append((spec.label, grid[:, 0], grid[:, 1]))
     mu_new = float(scenario.mean_response(point[None, :])[0])
-    rows.extend(oracle_curve_rows(mu_new, float(np.sqrt(scenario.sigma2)), grid_points))
-    return rows
+    curves.append(oracle_curve(mu_new, float(np.sqrt(scenario.sigma2)), grid_points))
+    return curves

@@ -61,15 +61,67 @@ class TestEmitResults:
         assert path.read_bytes().decode("utf-8") == text
 
 
+def _emit_curve_rows(rows):
+    """The row emitter the block emitter replaced: a stable sort by (label, y), one f-string per row."""
+    ordered = sorted(rows, key=lambda r: (r[0], r[1]))
+    lines = ["learner,y,pv"]
+    lines.extend(f"{label},{y:.12g},{pv:.12g}" for label, y, pv in ordered)
+    return "\n".join(lines) + "\n"
+
+
+def _random_curves(gen):
+    """Blocks over few labels, with repeated ys, +-0.0, magnitudes 1e-300..1e16 and empty blocks."""
+    curves = []
+    for _ in range(gen.integers(0, 8)):
+        k = int(gen.integers(0, 12))
+        mags = 10.0 ** gen.uniform(-300, 16, k) * gen.choice([-1.0, 1.0], k)
+        ys = np.where(gen.random(k) < 0.2, gen.choice([0.0, -0.0, 1.0], k), mags)
+        ys[gen.random(k) < 0.3] = 2.5  # equal ys within and across blocks
+        pv = np.where(gen.random(k) < 0.2, gen.choice([0.0, -0.0], k), gen.random(k))
+        form = gen.integers(3)  # float64 arrays, Python float lists or lists of np.float64
+        if form == 1:
+            ys, pv = ys.tolist(), pv.tolist()
+        elif form == 2:
+            ys, pv = list(ys), list(pv)
+        curves.append((str(gen.choice(["mu0", "mu1", "oracle", "5%"])), ys, pv))
+    return curves
+
+
 class TestEmitCurves:
     def test_sorted_and_shaped(self):
-        rows = [("mu1", 1.0, 0.5), ("mu0", 2.0, 0.25), ("mu0", 1.0, 0.125)]
-        text = emit_curves(rows, None)
+        curves = [("mu1", [1.0], [0.5]), ("mu0", np.array([2.0, 1.0]), np.array([0.25, 0.125]))]
+        text = emit_curves(curves, None)
         lines = text.splitlines()
         assert lines[0] == "learner,y,pv"
         assert lines[1].startswith("mu0,1")
         assert lines[2].startswith("mu0,2")
         assert lines[3].startswith("mu1,1")
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bytes_equal_the_row_emitter(self, seed):
+        curves = _random_curves(np.random.default_rng(seed))
+        rows = [(label, y, p) for label, ys, pv in curves for y, p in zip(ys, pv)]
+        assert emit_curves(curves, None) == _emit_curve_rows(rows)
+
+    def test_stable_order_of_equal_ys_across_blocks(self):
+        curves = [("a", [3.0, 1.0], [0.1, 0.2]), ("b", [0.0], [1.0]), ("a", [1.0, -0.0], [0.3, 0.4]),
+                  ("a", [], []), ("a", [0.0], [0.5])]
+        assert emit_curves(curves, None) == (
+            "learner,y,pv\na,-0,0.4\na,0,0.5\na,1,0.2\na,1,0.3\na,3,0.1\nb,0,1\n"
+        )
+
+    def test_no_rows_is_the_header(self):
+        assert emit_curves([], None) == "learner,y,pv\n"
+        assert emit_curves([("mu0", [], [])], None) == "learner,y,pv\n"
+
+    def test_unequal_block_lengths_rejected(self):
+        with pytest.raises(ValueError, match="one length"):
+            emit_curves([("mu0", [1.0, 2.0], [0.5])], None)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_y_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            emit_curves([("mu0", [1.0, bad], [0.5, 0.5])], None)
 
 
 class TestParseConfig:

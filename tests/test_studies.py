@@ -9,7 +9,7 @@ import pytest
 
 from predcurves import closed_form, studies
 from predcurves.cli import main
-from predcurves.conformal import Dataset
+from predcurves.conformal import Dataset, curve_grid
 from predcurves.closed_form import FeatureMap, FixedRuleLearner, OlsLearner
 from predcurves.mlp import MlpArchitecture, MlpLearner, TrainerConfig
 from predcurves.rng import RngStream
@@ -437,20 +437,30 @@ class TestParamMseStudy:
 class TestExportCurves:
     def test_linear_curves_structure(self):
         scenario = LinearScenario()
-        rows = export_curves(scenario, linear_learner_specs(), "sample-mean", 100, seed=8, n_train=80)
-        labels = {label for label, _, _ in rows}
+        specs = linear_learner_specs()
+        curves = export_curves(scenario, specs, "sample-mean", 100, seed=8, n_train=80)
+        # one block per learner in spec order, then the oracle's
+        assert [label for label, _, _ in curves] == [spec.label for spec in specs] + ["oracle"]
+        labels = {label for label, _, _ in curves}
         assert labels == {"mu0", "mu1", "mu2", "mu3", "oracle"}
-        assert all(0.0 <= pv <= 1.0 for _, _, pv in rows)
-        oracle = [(y, pv) for label, y, pv in rows if label == "oracle"]
-        peak_y = max(oracle, key=lambda t: t[1])[0]
-        assert max(pv for _, pv in oracle) == pytest.approx(1.0, abs=0.01)
-        ys = [y for y, _ in oracle]
-        assert ys == sorted(ys)
+        assert all(np.all((0.0 <= pv) & (pv <= 1.0)) for _, _, pv in curves)
+        for _, ys, pv in curves:
+            assert ys.shape == pv.shape
+            assert np.all(np.diff(ys) > 0)
+        _, oracle_ys, oracle_pv = curves[-1]
+        peak_y = oracle_ys[np.argmax(oracle_pv)]
+        assert max(oracle_pv) == pytest.approx(1.0, abs=0.01)
+        assert list(oracle_ys) == sorted(oracle_ys)
         # oracle peaks at the true mean response at the test covariate
         gen = RngStream(8, 0).generator()
         dataset, _ = draw_dataset(scenario, True, gen, n_train=80, n_test=1)
         x_bar = dataset.X.mean(axis=0)
         assert peak_y == pytest.approx(float(scenario.mean_response(x_bar[None])[0]), abs=0.1)
+        # each learner block holds its curve_grid's columns, every grid point of it
+        for spec, sub, (_, ys, pv) in zip(specs, gen.spawn(len(specs)), curves):
+            grid = curve_grid(score_matrix(dataset, spec.learner, x_bar[None], sub)[:, 0], 100)
+            assert len(ys) == len(grid)
+            np.testing.assert_array_equal(np.column_stack([ys, pv]), grid)
 
     def test_explicit_vector(self):
         scenario = LinearScenario()
@@ -461,18 +471,20 @@ class TestExportCurves:
 
     def test_true_model_curve_tracks_oracle(self):
         scenario = LinearScenario()
-        rows = export_curves(
+        curves = export_curves(
             scenario, linear_learner_specs()[:1], "iid-draw", 200, seed=15, n_train=300
         )
         from scipy.special import ndtr
 
-        mu0_rows = [(y, pv) for label, y, pv in rows if label == "mu0"]
-        oracle = [(y, pv) for label, y, pv in rows if label == "oracle"]
-        mu_new = max(oracle, key=lambda t: t[1])[0]
+        assert [label for label, _, _ in curves] == ["mu0", "oracle"]
+        (_, mu0_ys, mu0_pv), (_, oracle_ys, oracle_pv) = curves
+        for ys in (mu0_ys, oracle_ys):
+            assert np.all(np.diff(ys) > 0)
+        mu_new = oracle_ys[np.argmax(oracle_pv)]
 
-        def oracle_pv(y):
+        def oracle_pv_at(y):
             q = ndtr(y - mu_new)
             return 2 * min(q, 1 - q)
 
-        sup = max(abs(pv - oracle_pv(y)) for y, pv in mu0_rows)
+        sup = max(abs(pv - oracle_pv_at(y)) for y, pv in zip(mu0_ys, mu0_pv))
         assert sup < 0.15
