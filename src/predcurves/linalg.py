@@ -16,9 +16,10 @@ A fit takes one design, ``X`` (n, p) and ``y`` (n,), or a stack of R
 designs, ``X`` (R, n, p) and ``y`` (R, n): every result then gains the
 leading axis. numpy's QR, SVD, ``einsum`` and ``matmul`` run the same
 LAPACK/BLAS call on each matrix of a stack as on that matrix alone, and
-every triangular solve is still made one matrix at a time, so a stacked
-fit equals its repetitions fitted one by one, to the bit. The stack only
-saves the per-call overhead, which dominates at these sizes.
+``solve_upper`` solves the whole stack in one call, with one single-column
+``dtrtrs`` per right-hand side, so a stacked fit equals its repetitions
+fitted one by one, to the bit. The stack only saves the per-call
+overhead, which dominates at these sizes.
 
 Every triangular solve goes through ``solve_upper``, which calls LAPACK's
 ``dtrtrs`` directly: on these p x p systems ``scipy.linalg.solve_triangular``
@@ -50,7 +51,7 @@ def _openblas_dtrtrs():
     is passed by reference, Fortran style, followed by the hidden lengths of
     the three one-character strings. The integer arguments live in one block
     made here; loaded as a ``PyDLL``, the call keeps the GIL, so two threads
-    never share that block.
+    never share that block. The right-hand side is always one column.
     """
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
@@ -60,7 +61,7 @@ def _openblas_dtrtrs():
     else:
         return None
     fn.restype = None
-    n, nrhs, info = ctypes.c_int64(), ctypes.c_int64(), ctypes.c_int64()
+    n, nrhs, info = ctypes.c_int64(), ctypes.c_int64(1), ctypes.c_int64()
     n_ref, nrhs_ref, info_ref = ctypes.byref(n), ctypes.byref(nrhs), ctypes.byref(info)
     one = ctypes.c_size_t(1)
     uplo, op = (b"U", b"L"), (b"N", b"T")
@@ -69,10 +70,9 @@ def _openblas_dtrtrs():
 
     def dtrtrs(a, x, lower, trans):
         n.value = a.shape[0]
-        nrhs.value = 1 if x.ndim == 1 else x.shape[1]
-        # a.T and x.T are the C-contiguous views from_buffer takes of the Fortran arrays
+        # a.T is the C-contiguous view from_buffer takes of the Fortran array
         fn(uplo[lower], op[trans], b"N", n_ref, nrhs_ref, byref(address(a.T)), n_ref,
-           byref(address(x.T)), n_ref, info_ref, one, one, one)
+           byref(address(x)), n_ref, info_ref, one, one, one)
         return info.value
 
     return dtrtrs, str(path)
@@ -95,36 +95,39 @@ _dtrtrs, DTRTRS_LIBRARY = _openblas_dtrtrs() or _scipy_dtrtrs()
 
 
 def solve_upper(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray:
-    """Solve ``R x = b``, or ``R^T x = b`` when ``trans``, for upper-triangular ``R``.
+    """Solve ``R x = b``, or ``R^T x = b`` when ``trans``, for each upper-triangular ``R`` of a stack.
 
-    ``b`` is (p,) or (p, k). The LAPACK call and its arguments are the ones
-    ``scipy.linalg.solve_triangular(r, b, trans)`` makes, so the result is
-    the same to the bit: the scipy binding is the wrapper that function
-    calls, and the OpenBLAS binding runs the same ``dtrtrs`` on the same
-    matrix, right-hand side and flags (``tests/test_linalg.py`` holds both
-    to ``solve_triangular``). A C-ordered ``R`` is passed as the
-    lower-triangular Fortran array ``R^T`` with the transpose flag flipped.
-    An ``R`` that is not writable, or not Fortran-ordered in that form, is
-    copied first, as scipy's wrapper copies it; ``b`` is always copied,
-    into the Fortran array the solution overwrites. Like
-    ``solve_triangular``, raises ``ValueError`` on a non-finite ``b``, and
-    ``LinAlgError`` on a zero on the diagonal of ``R``; ``R`` itself is not
-    checked for finiteness.
+    ``r`` is (..., p, p) and ``b`` (..., k, p); each row of ``b`` is one
+    right-hand side, and the result has ``b``'s shape. Shapes and finiteness
+    are checked once, for the whole stack. ``b`` is copied into one C-ordered
+    buffer whose rows are contiguous Fortran columns, and each row is solved
+    in place by one single-column ``dtrtrs`` call, the call
+    ``scipy.linalg.solve_triangular(r[i], b[i, j], trans)`` makes, so the
+    result is the same to the bit (``tests/test_linalg.py`` holds both
+    bindings to it). Columns are never batched: OpenBLAS runs a multi-column
+    solve on its thread pool, which on these p x p systems costs about ten
+    times as much and keeps a second core busy. A C-ordered ``R`` is passed
+    as the lower-triangular Fortran array ``R^T`` with the transpose flag
+    flipped; one that is not writable, or not Fortran-ordered in that form,
+    is copied first, as scipy's wrapper copies it. Like ``solve_triangular``,
+    raises ``ValueError`` on a non-finite ``b`` and ``LinAlgError`` on a zero
+    on the diagonal of ``R``, whose finiteness is not checked.
     """
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
-    x = np.array(b, dtype=np.float64, order="F")
-    a, lower = (r, 0) if r.flags.f_contiguous else (r.T, 1)
-    trans = int(trans) ^ lower
-    if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
-        a = np.array(a, dtype=np.float64, order="F")
-    if a.ndim != 2 or x.ndim > 2 or a.shape[1] != a.shape[0] or x.shape[:1] != a.shape[:1]:
-        raise ValueError(f"cannot solve a {r.shape} triangle for a right-hand side of shape {x.shape}")
-    info = _dtrtrs(a, x, lower, trans)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"singular matrix: zero at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of trtrs")
+    if b.ndim < 2 or b.shape[:-2] + b.shape[-1:] * 2 != r.shape:
+        raise ValueError(f"cannot solve a {r.shape} triangle for right-hand sides of shape {b.shape}")
+    x = np.array(b, dtype=np.float64, order="C")
+    for i in np.ndindex(r.shape[:-2]):
+        a, lower = (r[i], 0) if r[i].flags.f_contiguous else (r[i].T, 1)
+        if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
+            a = np.array(a, dtype=np.float64, order="F")
+        for column in x[i]:
+            info = _dtrtrs(a, column, lower, int(trans) ^ lower)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"singular matrix: zero at diagonal {info - 1}")
+            if info < 0:
+                raise ValueError(f"illegal value in argument {-info} of trtrs")
     return x
 
 
@@ -150,20 +153,15 @@ class LeastSquaresFit:
     def hat_cross_many(self, X_s: np.ndarray) -> np.ndarray:
         """Cross leverages ``h_{i,s}`` for the m query rows of ``X_s`` (..., m, p); shape (..., n, m).
 
-        One triangular solve per point and design: OpenBLAS runs a solve
-        with several right-hand sides on its thread pool, which for these
-        p x p systems costs about ten times as much as single-column solves
-        and keeps a second core busy while a study runs.
+        The whole stack takes one ``solve_upper`` call, one single-column
+        ``dtrtrs`` per query row and design, and one ``matmul``.
         """
         X_s = np.asarray(X_s, dtype=float)
         stacked = self.r.shape[:-2]
         if X_s.shape[:-2] != stacked:
             raise ValueError(f"query rows of shape {X_s.shape} for designs stacked as {stacked}")
-        T = np.empty((*stacked, self.r.shape[-1], X_s.shape[-2]))
-        for k in np.ndindex(stacked):
-            for j, x_s in enumerate(X_s[k]):
-                T[k][:, j] = solve_upper(self.r[k], x_s, trans=True)
-        return self.q @ T
+        T = solve_upper(self.r, X_s, trans=True)
+        return self.q @ np.swapaxes(T, -1, -2)
 
 
 def least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
@@ -185,7 +183,5 @@ def least_squares(X: np.ndarray, y: np.ndarray) -> LeastSquaresFit:
     if (smallest <= 0.0).any() or (sv[..., 0] / smallest > CONDITION_LIMIT).any():
         raise ValueError("rank-deficient design")
     qty = (np.swapaxes(q, -1, -2) @ y[..., None])[..., 0]
-    beta = np.empty(qty.shape)
-    for k in np.ndindex(X.shape[:-2]):
-        beta[k] = solve_upper(r[k], qty[k])
+    beta = solve_upper(r, qty[..., None, :])[..., 0, :]
     return LeastSquaresFit(beta=beta, q=q, r=r)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from predcurves import linalg
+from predcurves.closed_form import closed_form_scores
 from predcurves.linalg import least_squares, solve_upper
 
 
@@ -140,21 +141,22 @@ def test_non_finite_query_point_rejected(bad):
         fit.hat_cross_many(np.array([[1.0, 0.5, 2.0], [1.0, bad, 2.0]]))
 
 
-# How R reaches solve_upper: C- or Fortran-ordered, read-only, or a strided column slice.
+# How each R of a stack reaches solve_upper: C- or Fortran-ordered, read-only, or a strided column slice.
 # from_buffer takes neither of the last two, so they are copied first, as scipy's wrapper copies them.
 R_FORMS = ["C", "F", "read-only", "column-slice"]
 
 
 def _as_form(r: np.ndarray, form: str) -> np.ndarray:
-    if form == "read-only":
-        r = np.asfortranarray(r)
-        r.flags.writeable = False
-        return r
+    """The stack ``r`` (..., p, p), with each of its matrices in ``form``."""
     if form == "column-slice":
-        wide = np.zeros((r.shape[0], 2 * r.shape[1]))
-        wide[:, ::2] = r
-        return wide[:, ::2]
-    return np.asarray(r, order=form)
+        wide = np.zeros((*r.shape[:-1], 2 * r.shape[-1]))
+        wide[..., ::2] = r
+        return wide[..., ::2]
+    if form == "C":
+        return np.ascontiguousarray(r)
+    r = np.swapaxes(np.ascontiguousarray(np.swapaxes(r, -1, -2)), -1, -2)
+    r.flags.writeable = form == "F"
+    return r
 
 
 # scipy's wrapper of dtrtrs, the binding solve_upper falls back to
@@ -163,22 +165,25 @@ SCIPY_DTRTRS = linalg._scipy_dtrtrs()[0]
 
 @pytest.mark.parametrize("order", R_FORMS)
 @pytest.mark.parametrize("trans", ["N", "T"])
-@pytest.mark.parametrize("rhs_shape", [(4,), (4, 3)], ids=["1-d", "2-d"])
-def test_solve_upper_matches_scipy_bit_for_bit(order, trans, rhs_shape, monkeypatch):
+@pytest.mark.parametrize("stack", [(), (2,), (7,)], ids=["single", "stack-2", "stack-7"])
+def test_solve_upper_matches_scipy_bit_for_bit(order, trans, stack, monkeypatch):
     # the live dtrtrs is the OpenBLAS numpy bundles, wherever numpy bundles one
     bundled = sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
     assert linalg.DTRTRS_LIBRARY == (str(bundled[0]) if bundled else "scipy")
     gen = np.random.default_rng(41)
     systems = []
-    for p in [4, *gen.integers(1, 6, 24)]:
-        _, r = np.linalg.qr(gen.standard_normal((30, p)))
-        systems.append((_as_form(r, order), gen.standard_normal((p, *rhs_shape[1:]))))
+    for p in [4, *gen.integers(1, 6, 5)]:
+        for rows in range(4):
+            _, r = np.linalg.qr(gen.standard_normal((*stack, 30, p)))
+            systems.append((_as_form(r, order), gen.standard_normal((*stack, rows, p))))
     solutions = []
     for r, b in systems:
         r_before, b_before = r.copy(), b.copy()
         x = solve_upper(r, b, trans=trans == "T")
         assert x.shape == b.shape
-        np.testing.assert_array_equal(x, scipy.linalg.solve_triangular(r, b, trans=trans))
+        for i in np.ndindex(stack):
+            for j in range(b.shape[-2]):
+                np.testing.assert_array_equal(x[i][j], scipy.linalg.solve_triangular(r[i], b[i][j], trans=trans))
         np.testing.assert_array_equal(r, r_before)
         np.testing.assert_array_equal(b, b_before)
         solutions.append(x)
@@ -189,18 +194,56 @@ def test_solve_upper_matches_scipy_bit_for_bit(order, trans, rhs_shape, monkeypa
 
 
 @pytest.mark.parametrize("order", R_FORMS)
-def test_solve_upper_zero_diagonal_raises(order, monkeypatch):
-    r = np.triu(np.ones((3, 3)))
-    r[1, 1] = 0.0
+@pytest.mark.parametrize("stack", [(), (2,), (7,)], ids=["single", "stack-2", "stack-7"])
+def test_solve_upper_zero_diagonal_raises(order, stack, monkeypatch):
+    # the zero sits in the last matrix of the stack
+    r = np.broadcast_to(np.triu(np.ones((3, 3))), (*stack, 3, 3)).copy()
+    r.reshape(-1, 3, 3)[-1, 1, 1] = 0.0
     r = _as_form(r, order)
     for binding in (linalg._dtrtrs, SCIPY_DTRTRS):
         monkeypatch.setattr(linalg, "_dtrtrs", binding)
         with pytest.raises(np.linalg.LinAlgError, match="singular matrix: zero at diagonal 1$"):
-            solve_upper(r, np.ones(3))
+            solve_upper(r, np.ones((*stack, 2, 3)))
 
 
-@pytest.mark.parametrize("r_shape, b_shape", [((3, 3), (4,)), ((3, 4), (3,)), ((3,), (3,))])
+@pytest.mark.parametrize(
+    "r_shape, b_shape",
+    [
+        ((3, 3), (1, 4)),
+        ((3, 4), (1, 3)),
+        ((3,), (1, 3)),
+        ((3, 3), (3,)),
+        ((2, 3, 3), (3, 1, 3)),
+        ((2, 3, 3), (1, 3)),
+        ((3, 3), (2, 1, 3)),
+    ],
+)
 def test_solve_upper_rejects_mismatched_shapes(r_shape, b_shape):
-    # dtrtrs reads n x n entries of R and n rows of b, wherever they end
+    # dtrtrs reads n x n entries of each R and n entries of each row of b, wherever they end
     with pytest.raises(ValueError, match="cannot solve"):
         solve_upper(np.ones(r_shape), np.ones(b_shape))
+
+
+def test_closed_form_scores_makes_one_single_column_solve_per_row(monkeypatch):
+    # R designs with m test rows: one dtrtrs per design for beta and one per design and row for
+    # the cross leverages, each on one column, since a multi-column solve runs on OpenBLAS's threads
+    calls = []
+    live = linalg._dtrtrs
+
+    def counted(a, x, lower, trans):
+        calls.append(x.shape)
+        return live(a, x, lower, trans)
+
+    monkeypatch.setattr(linalg, "_dtrtrs", counted)
+    gen = np.random.default_rng(43)
+    R, n, p, m = 5, 20, 3, 4
+    X, y, X_new = gen.standard_normal((R, n, p)), gen.standard_normal((R, n)), gen.standard_normal((R, m, p))
+    closed_form_scores(X, y, X_new)
+    assert calls == [(p,)] * (R * (1 + m))
+    # a NaN query row in the last design stops the cross solve before its first dtrtrs
+    X_new[-1, -1, 1] = np.nan
+    fit = least_squares(X, y)
+    calls.clear()
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        fit.hat_cross_many(X_new)
+    assert calls == []
