@@ -46,11 +46,16 @@ class GaussianToySample:
             return cls(ybar=float(y.mean()), n=y.size)
 
 
+def normal_cdf(z):
+    """The standard normal CDF ``Phi(z)``, scipy's ``ndtr``; scalar or array ``z``."""
+    from scipy.special import ndtr  # here, so that commands drawing no normal CDF load no scipy
+
+    return ndtr(z)
+
+
 def confidence_cdf(sample: GaussianToySample, theta):
     """``Phi(sqrt(n) (theta - ybar))``; scalar or array ``theta``."""
-    from scipy.special import ndtr  # here, so that importing this module loads no scipy
-
-    return ndtr(np.sqrt(sample.n) * (theta - sample.ybar))
+    return normal_cdf(np.sqrt(sample.n) * (theta - sample.ybar))
 
 
 def confidence_curve(sample: GaussianToySample, theta):
@@ -60,9 +65,7 @@ def confidence_curve(sample: GaussianToySample, theta):
 
 def predictive_cdf_toy(sample: GaussianToySample, y):
     """``Phi((y - ybar) / sqrt(1 + 1/n))``; scalar or array ``y``."""
-    from scipy.special import ndtr  # here, so that importing this module loads no scipy
-
-    return ndtr((y - sample.ybar) / np.sqrt(1.0 + 1.0 / sample.n))
+    return normal_cdf((y - sample.ybar) / np.sqrt(1.0 + 1.0 / sample.n))
 
 
 def predictive_curve_toy(sample: GaussianToySample, y):

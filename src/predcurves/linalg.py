@@ -16,18 +16,19 @@ A fit takes one design, ``X`` (n, p) and ``y`` (n,), or a stack of R
 designs, ``X`` (R, n, p) and ``y`` (R, n): every result then gains the
 leading axis. numpy's QR, SVD, ``einsum`` and ``matmul`` run the same
 LAPACK/BLAS call on each matrix of a stack as on that matrix alone, and
-``solve_upper`` solves the whole stack in one call, with one single-column
-``dtrtrs`` per right-hand side, so a stacked fit equals its repetitions
-fitted one by one, to the bit. The stack only saves the per-call
-overhead, which dominates at these sizes.
+``solve_upper`` hands the whole stack to one binding call, which makes one
+single-column ``dtrtrs`` per right-hand side, so a stacked fit equals its
+repetitions fitted one by one, to the bit. The stack only saves the
+per-call overhead, which dominates at these sizes.
 
 Every triangular solve goes through ``solve_upper``, which calls LAPACK's
-``dtrtrs`` directly: on these p x p systems ``scipy.linalg.solve_triangular``
-spends ~25 us per call in argument handling around a ~1 us kernel.
-``dtrtrs`` is bound once, at import, from the OpenBLAS that numpy's wheel
-bundles and has already loaded, so this module imports no scipy. Where
-numpy bundles no such library, it binds scipy's wrapper of the same
-routine instead.
+``dtrtrs`` directly in one layout, QR's: each C-ordered ``R`` is the
+lower-triangular Fortran array ``R^T``. On these p x p systems
+``scipy.linalg.solve_triangular`` spends ~25 us per call in argument
+handling around a ~1 us kernel. ``dtrtrs`` is bound once, at import, from
+the OpenBLAS that numpy's wheel bundles and has already loaded, so this
+module imports no scipy. Where numpy bundles no such library, it binds
+scipy's wrapper of the same routine instead.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ def _openblas_dtrtrs():
     ``numpy.libs/libscipy_openblas64_*.so``, exporting ``scipy_dtrtrs_64_``.
     Loading it again returns the handle numpy already holds. Every argument
     is passed by reference, Fortran style, followed by the hidden lengths of
-    the three one-character strings. The integer arguments live in one block
-    made here; loaded as a ``PyDLL``, the call keeps the GIL, so two threads
-    never share that block. The right-hand side is always one column.
+    the three one-character strings; the integers live in a block made per
+    call, and the pointers are stepped from the two base addresses.
     """
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
@@ -61,19 +61,18 @@ def _openblas_dtrtrs():
     else:
         return None
     fn.restype = None
-    n, nrhs, info = ctypes.c_int64(), ctypes.c_int64(1), ctypes.c_int64()
-    n_ref, nrhs_ref, info_ref = ctypes.byref(n), ctypes.byref(nrhs), ctypes.byref(info)
-    one = ctypes.c_size_t(1)
-    uplo, op = (b"U", b"L"), (b"N", b"T")
-    address = ctypes.c_double.from_buffer
-    byref = ctypes.byref
+    fn.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 7 + [ctypes.c_size_t] * 3
 
-    def dtrtrs(a, x, lower, trans):
-        n.value = a.shape[0]
-        # a.T is the C-contiguous view from_buffer takes of the Fortran array
-        fn(uplo[lower], op[trans], b"N", n_ref, nrhs_ref, byref(address(a.T)), n_ref,
-           byref(address(x)), n_ref, info_ref, one, one, one)
-        return info.value
+    def dtrtrs(a, x, trans):
+        count, k, p = x.shape
+        block = (ctypes.c_int64 * 3)(p, 1, 0)  # n, nrhs, info
+        n = ctypes.addressof(block)
+        op, a0, x0 = (b"N" if trans else b"T"), a.ctypes.data, x.ctypes.data
+        for row in range(count * k):
+            fn(b"L", op, b"N", n, n + 8, a0 + row // k * 8 * p * p, n, x0 + row * 8 * p, n, n + 16, 1, 1, 1)
+            if block[2]:
+                return block[2]
+        return 0
 
     return dtrtrs, str(path)
 
@@ -84,13 +83,18 @@ def _scipy_dtrtrs():
 
     trtrs = get_lapack_funcs("trtrs", dtype=np.float64)
 
-    def dtrtrs(a, x, lower, trans):
-        return trtrs(a, x, lower=lower, trans=trans, overwrite_b=1)[1]
+    def dtrtrs(a, x, trans):
+        for factor, rows in zip(a, x):
+            for row in rows:
+                info = trtrs(factor.T, row, lower=1, trans=int(not trans), overwrite_b=1)[1]
+                if info:
+                    return info
+        return 0
 
     return dtrtrs, "scipy"
 
 
-# the live binding, and the library it comes from
+# the live binding, dtrtrs(a, x, trans) on C-ordered a (M, p, p) and x (M, k, p), and the library it comes from
 _dtrtrs, DTRTRS_LIBRARY = _openblas_dtrtrs() or _scipy_dtrtrs()
 
 
@@ -99,17 +103,15 @@ def solve_upper(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray
 
     ``r`` is (..., p, p) and ``b`` (..., k, p); each row of ``b`` is one
     right-hand side, and the result has ``b``'s shape. Shapes and finiteness
-    are checked once, for the whole stack. ``b`` is copied into one C-ordered
-    buffer whose rows are contiguous Fortran columns, and each row is solved
-    in place by one single-column ``dtrtrs`` call, the call
-    ``scipy.linalg.solve_triangular(r[i], b[i, j], trans)`` makes, so the
+    are checked once, for the whole stack. ``r`` and ``b`` are copied once
+    each into C order, and one binding call solves every row in place with
+    one single-column ``dtrtrs`` call on the lower-triangular Fortran array
+    ``R^T``, with the transpose flag flipped: the call
+    ``scipy.linalg.solve_triangular`` makes for a C-ordered ``R``, so the
     result is the same to the bit (``tests/test_linalg.py`` holds both
     bindings to it). Columns are never batched: OpenBLAS runs a multi-column
     solve on its thread pool, which on these p x p systems costs about ten
-    times as much and keeps a second core busy. A C-ordered ``R`` is passed
-    as the lower-triangular Fortran array ``R^T`` with the transpose flag
-    flipped; one that is not writable, or not Fortran-ordered in that form,
-    is copied first, as scipy's wrapper copies it. Like ``solve_triangular``,
+    times as much and keeps a second core busy. Like ``solve_triangular``,
     raises ``ValueError`` on a non-finite ``b`` and ``LinAlgError`` on a zero
     on the diagonal of ``R``, whose finiteness is not checked.
     """
@@ -117,17 +119,13 @@ def solve_upper(r: np.ndarray, b: np.ndarray, trans: bool = False) -> np.ndarray
         raise ValueError("array must not contain infs or NaNs")
     if b.ndim < 2 or b.shape[:-2] + b.shape[-1:] * 2 != r.shape:
         raise ValueError(f"cannot solve a {r.shape} triangle for right-hand sides of shape {b.shape}")
+    count, (k, p) = int(np.prod(r.shape[:-2])), b.shape[-2:]
     x = np.array(b, dtype=np.float64, order="C")
-    for i in np.ndindex(r.shape[:-2]):
-        a, lower = (r[i], 0) if r[i].flags.f_contiguous else (r[i].T, 1)
-        if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
-            a = np.array(a, dtype=np.float64, order="F")
-        for column in x[i]:
-            info = _dtrtrs(a, column, lower, int(trans) ^ lower)
-            if info > 0:
-                raise np.linalg.LinAlgError(f"singular matrix: zero at diagonal {info - 1}")
-            if info < 0:
-                raise ValueError(f"illegal value in argument {-info} of trtrs")
+    info = _dtrtrs(np.array(r, dtype=np.float64, order="C").reshape(count, p, p), x.reshape(count, k, p), trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: zero at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of trtrs")
     return x
 
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from .closed_form import FeatureMap, OlsLearner
 from .conformal import Dataset, curve_grid, interval_from_scores, require_loo_rows, two_sided_curve
+from .gaussian_toy import normal_cdf
 from .mlp import (
     OPT_MSE,
     SINGLE_RESTART,
@@ -332,11 +333,9 @@ def oracle_curve(mu_new: float, sigma: float, points: int) -> tuple[str, np.ndar
     ``ys`` is strictly increasing and includes the peak location itself,
     so the curve attains 1.
     """
-    from scipy.special import ndtr  # here, so that commands drawing no oracle curve load no scipy
-
     base = np.linspace(mu_new - 4.5 * sigma, mu_new + 4.5 * sigma, points)
     ys = np.union1d(base, [mu_new])
-    return "oracle", ys, two_sided_curve(ndtr((ys - mu_new) / sigma))
+    return "oracle", ys, two_sided_curve(normal_cdf((ys - mu_new) / sigma))
 
 
 # the named test covariates of ``export_curves``

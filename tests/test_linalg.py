@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -142,7 +144,7 @@ def test_non_finite_query_point_rejected(bad):
 
 
 # How each R of a stack reaches solve_upper: C- or Fortran-ordered, read-only, or a strided column slice.
-# from_buffer takes neither of the last two, so they are copied first, as scipy's wrapper copies them.
+# solve_upper copies each into C order, so all four reach dtrtrs one way and give the same bits.
 R_FORMS = ["C", "F", "read-only", "column-slice"]
 
 
@@ -181,9 +183,12 @@ def test_solve_upper_matches_scipy_bit_for_bit(order, trans, stack, monkeypatch)
         r_before, b_before = r.copy(), b.copy()
         x = solve_upper(r, b, trans=trans == "T")
         assert x.shape == b.shape
+        # every form solves as QR's C-ordered factor does, through solve_triangular and through solve_upper
+        r_c = np.ascontiguousarray(r)
         for i in np.ndindex(stack):
             for j in range(b.shape[-2]):
-                np.testing.assert_array_equal(x[i][j], scipy.linalg.solve_triangular(r[i], b[i][j], trans=trans))
+                np.testing.assert_array_equal(x[i][j], scipy.linalg.solve_triangular(r_c[i], b[i][j], trans=trans))
+        np.testing.assert_array_equal(solve_upper(r_c, b, trans=trans == "T"), x)
         np.testing.assert_array_equal(r, r_before)
         np.testing.assert_array_equal(b, b_before)
         solutions.append(x)
@@ -191,6 +196,34 @@ def test_solve_upper_matches_scipy_bit_for_bit(order, trans, stack, monkeypatch)
     monkeypatch.setattr(linalg, "_dtrtrs", SCIPY_DTRTRS)
     for (r, b), x in zip(systems, solutions):
         np.testing.assert_array_equal(solve_upper(r, b, trans=trans == "T"), x)
+
+
+@pytest.mark.parametrize("binding", ["live", "scipy"])
+def test_solve_upper_is_thread_safe(binding, monkeypatch):
+    # two threads solve p = 2 and p = 5 stacks, switching as often as the interpreter allows;
+    # no call may see the other thread's arguments
+    if binding == "scipy":
+        monkeypatch.setattr(linalg, "_dtrtrs", SCIPY_DTRTRS)
+    gen = np.random.default_rng(44)
+    systems = {}
+    for p in (2, 5):
+        _, r = np.linalg.qr(gen.standard_normal((4, 30, p)))
+        b = gen.standard_normal((4, 2, p))
+        systems[p] = (r, b, solve_upper(r, b))
+
+    def solve(p):
+        r, b, _ = systems[p]
+        return [solve_upper(r, b) for _ in range(300)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            results = dict(zip(systems, pool.map(solve, systems, timeout=120)))
+    finally:
+        sys.setswitchinterval(interval)
+    wrong = {p: sum(not np.array_equal(x, systems[p][2]) for x in results[p]) for p in systems}
+    assert wrong == {2: 0, 5: 0}
 
 
 @pytest.mark.parametrize("order", R_FORMS)
@@ -227,23 +260,39 @@ def test_solve_upper_rejects_mismatched_shapes(r_shape, b_shape):
 def test_closed_form_scores_makes_one_single_column_solve_per_row(monkeypatch):
     # R designs with m test rows: one dtrtrs per design for beta and one per design and row for
     # the cross leverages, each on one column, since a multi-column solve runs on OpenBLAS's threads
-    calls = []
-    live = linalg._dtrtrs
+    live, lapack_calls = linalg._dtrtrs, []
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
 
-    def counted(a, x, lower, trans):
-        calls.append(x.shape)
-        return live(a, x, lower, trans)
+    def counting_get_lapack_funcs(name, dtype):
+        trtrs = get_lapack_funcs(name, dtype=dtype)
 
-    monkeypatch.setattr(linalg, "_dtrtrs", counted)
+        def counted(a, b, **options):
+            lapack_calls.append(b.shape)
+            return trtrs(a, b, **options)
+
+        return counted
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting_get_lapack_funcs)
+    monkeypatch.setattr(linalg, "_dtrtrs", linalg._scipy_dtrtrs()[0])
     gen = np.random.default_rng(43)
     R, n, p, m = 5, 20, 3, 4
     X, y, X_new = gen.standard_normal((R, n, p)), gen.standard_normal((R, n)), gen.standard_normal((R, m, p))
     closed_form_scores(X, y, X_new)
-    assert calls == [(p,)] * (R * (1 + m))
-    # a NaN query row in the last design stops the cross solve before its first dtrtrs
+    assert lapack_calls == [(p,)] * (R * (1 + m))
+    # the live binding takes the whole stack in one call: one for beta, one for the cross leverages
+    binding_calls = []
+
+    def counted(a, x, trans):
+        binding_calls.append((a.shape, x.shape, trans))
+        return live(a, x, trans)
+
+    monkeypatch.setattr(linalg, "_dtrtrs", counted)
+    closed_form_scores(X, y, X_new)
+    assert binding_calls == [((R, p, p), (R, 1, p), False), ((R, p, p), (R, m, p), True)]
+    # a NaN query row in the last design stops the cross solve before any binding call
     X_new[-1, -1, 1] = np.nan
     fit = least_squares(X, y)
-    calls.clear()
+    binding_calls.clear()
     with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
         fit.hat_cross_many(X_new)
-    assert calls == []
+    assert binding_calls == []
